@@ -50,18 +50,13 @@ class DMSGD(DecentralizedAlgorithm):
             self.params = provisional
             return
 
-        new_params: List[np.ndarray] = []
-        for agent in range(self.num_agents):
-            received = self.gossip_receive(agent, "model")
-            received[agent] = shared[agent]
-            acc = np.zeros(self.dimension, dtype=np.float64)
-            for j, value in received.items():
-                acc += self.topology.weight(agent, j) * value
-            new_params.append(acc)
-        self.params = new_params
+        self.params = [
+            self.mix_received(agent, shared[agent], self.gossip_receive(agent, "model"))
+            for agent in range(self.num_agents)
+        ]
 
-    def _step_streamed(self, round_index: int) -> None:
-        """Blocked twin of :meth:`_step_vectorized` (bit-identical by design).
+    def _step_vectorized(self, round_index: int) -> None:
+        """The round streamed over row blocks.
 
         Each row block draws its agents' batches, evaluates + privatizes
         gradients, applies the momentum and provisional steps in place, and
@@ -82,13 +77,13 @@ class DMSGD(DecentralizedAlgorithm):
 
         def run(start: int, stop: int) -> None:
             perturbed = self._block_perturbed_gradients(start, stop)
-            momentum[start:stop] = self._freeze_block(
+            momentum[start:stop] = self.freeze_inactive_rows(
                 alpha * momentum[start:stop] + perturbed,
                 momentum[start:stop],
                 start,
                 stop,
             )
-            provisional = self._freeze_block(
+            provisional = self.freeze_inactive_rows(
                 self.state[start:stop] - gamma * momentum[start:stop],
                 self.state[start:stop],
                 start,
@@ -107,26 +102,3 @@ class DMSGD(DecentralizedAlgorithm):
         values, wire_bytes = self.gossip_wire_cost()
         self.record_fleet_exchange("model", values, wire_bytes)
         self._mix_into(shared, self.state)
-
-    def _step_vectorized(self, round_index: int) -> None:
-        if self._streamed:
-            self._step_streamed(round_index)
-            return
-        gamma = self.config.learning_rate
-        alpha = self.config.momentum
-        batches = self.draw_batches()
-        gradients = self.fleet_gradients(self.state, batches)
-        perturbed = self.privatize_rows(gradients)
-        self.momentum_state = self.freeze_inactive_rows(
-            alpha * self.momentum_state + perturbed, self.momentum_state
-        )
-        provisional = self.freeze_inactive_rows(
-            self.state - gamma * self.momentum_state, self.state
-        )
-        if not self.gossip_now(round_index):
-            self.state = provisional
-            return
-        shared = self.compress_gossip_rows("model", provisional)
-        values, wire_bytes = self.gossip_wire_cost()
-        self.record_fleet_exchange("model", values, wire_bytes)
-        self.state = self.mix_rows(shared)

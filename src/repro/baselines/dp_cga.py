@@ -138,31 +138,21 @@ class DPCGA(DecentralizedAlgorithm):
             return
 
         # Gossip-average the provisional models.
-        new_params: List[np.ndarray] = []
-        for agent in range(self.num_agents):
-            received = self.gossip_receive(agent, "mix")
-            received[agent] = shared[agent]
-            acc = np.zeros(self.dimension, dtype=np.float64)
-            for j, value in received.items():
-                acc += self.topology.weight(agent, j) * value
-            new_params.append(acc)
-        self.params = new_params
+        self.params = [
+            self.mix_received(agent, shared[agent], self.gossip_receive(agent, "mix"))
+            for agent in range(self.num_agents)
+        ]
 
     def _step_vectorized(self, round_index: int) -> None:
         gamma = self.config.learning_rate
         alpha = self.config.momentum
 
         # Local gradients, privatized in agent order (first draw per agent,
-        # matching the loop backend's per-agent noise streams).  The streamed
-        # pipeline evaluates them block by block into a reusable scratch
-        # (bit-identical; see the base class); cross-gradients below stream
-        # through evaluator-aligned chunks inside fleet_cross_gradients.
-        if self._streamed:
-            batches, own_perturbed = self._streamed_local_perturbed()
-        else:
-            batches = self.draw_batches()
-            own = self.fleet_gradients(self.state, batches)
-            own_perturbed = self.privatize_rows(own)
+        # matching the loop backend's per-agent noise streams), evaluated
+        # block by block into a reusable scratch; cross-gradients below
+        # stream through evaluator-aligned chunks inside
+        # fleet_cross_gradients.
+        batches, own_perturbed = self._local_perturbed_gradients()
         self.record_fleet_exchange("model", self.dimension)
 
         # Cross-gradients for every directed pair (evaluator i, model owner j):

@@ -52,22 +52,19 @@ class DPDPSGD(DecentralizedAlgorithm):
             return
 
         # Gossip-average the provisional models with the mixing matrix.
-        new_params: List[np.ndarray] = []
-        for agent in range(self.num_agents):
-            received = self.gossip_receive(agent, "model")
-            received[agent] = shared[agent]
-            mixed = np.zeros(self.dimension, dtype=np.float64)
-            for j, params in received.items():
-                mixed += self.topology.weight(agent, j) * params
-            new_params.append(mixed)
-        self.params = new_params
+        self.params = [
+            self.mix_received(agent, shared[agent], self.gossip_receive(agent, "model"))
+            for agent in range(self.num_agents)
+        ]
 
-    def _step_streamed(self, round_index: int) -> None:
-        """Blocked twin of :meth:`_step_vectorized` (bit-identical by design).
+    def _step_vectorized(self, round_index: int) -> None:
+        """The round streamed over row blocks.
 
         The provisional step is float64 (state minus a float64 perturbed
-        gradient), exactly like the one-shot path, so the gossip scratch is
-        always float64 here.
+        gradient), so the gossip scratch is always float64 here.  Inactive
+        agents' perturbed rows are exactly zero, so their provisional step
+        leaves them at their current parameters and the identity mixing row
+        keeps them there.
         """
         gamma = self.config.learning_rate
         communicate = self.gossip_now(round_index)
@@ -91,26 +88,6 @@ class DPDPSGD(DecentralizedAlgorithm):
         values, wire_bytes = self.gossip_wire_cost()
         self.record_fleet_exchange("model", values, wire_bytes)
         self._mix_into(shared, self.state)
-
-    def _step_vectorized(self, round_index: int) -> None:
-        if self._streamed:
-            self._step_streamed(round_index)
-            return
-        gamma = self.config.learning_rate
-        batches = self.draw_batches()
-        # Inactive agents' rows are exactly zero after the masked gradient
-        # and noise paths, so the provisional step leaves them at their
-        # current parameters and the identity mixing row keeps them there.
-        gradients = self.fleet_gradients(self.state, batches)
-        perturbed = self.privatize_rows(gradients)
-        provisional = self.state - gamma * perturbed
-        if not self.gossip_now(round_index):
-            self.state = provisional
-            return
-        shared = self.compress_gossip_rows("model", provisional)
-        values, wire_bytes = self.gossip_wire_cost()
-        self.record_fleet_exchange("model", values, wire_bytes)
-        self.state = self.mix_rows(shared)
 
 
 class DPSGDNonPrivate(DPDPSGD):

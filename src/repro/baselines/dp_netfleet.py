@@ -132,15 +132,6 @@ class DPNetFleet(DecentralizedAlgorithm):
         gradient = self.local_gradient(agent, params, batch)
         return self.privatize(agent, gradient)
 
-    def _fresh_fleet_gradients(self, param_rows: np.ndarray) -> np.ndarray:
-        """One fresh perturbed gradient per agent at the given parameter rows.
-
-        Draws batches and noise in agent order, matching the per-agent
-        sampler and mechanism streams the loop backend consumes.
-        """
-        gradients = self.fleet_gradients(param_rows, self.draw_batches())
-        return self.privatize_rows(gradients)
-
     def _step_loop(self, round_index: int) -> None:
         gamma = self.config.learning_rate
 
@@ -201,14 +192,9 @@ class DPNetFleet(DecentralizedAlgorithm):
         new_tracking: List[np.ndarray] = []
         for agent in range(self.num_agents):
             if communicate:
-                received = self.gossip_receive(agent, "state")
-                received[agent] = shared[agent]
-                params_acc = np.zeros(self.dimension, dtype=np.float64)
-                tracking_acc = np.zeros(self.dimension, dtype=np.float64)
-                for j, (params_j, tracking_j) in received.items():
-                    weight = self.topology.weight(agent, j)
-                    params_acc += weight * params_j
-                    tracking_acc += weight * tracking_j
+                params_acc, tracking_acc = self.mix_received(
+                    agent, shared[agent], self.gossip_receive(agent, "state")
+                )
             else:
                 params_acc = local_params[agent].copy()
                 tracking_acc = self.tracking[agent].copy()
@@ -226,15 +212,16 @@ class DPNetFleet(DecentralizedAlgorithm):
         self.params = new_params
         self.tracking = new_tracking
 
-    def _step_streamed(self, round_index: int) -> None:
-        """Blocked twin of :meth:`_step_vectorized` (bit-identical by design).
+    def _step_vectorized(self, round_index: int) -> None:
+        """The round streamed over row blocks.
 
         All four fleet matrices (state, tracking, previous gradient, the
         local-step output) are touched strictly block by block; on
         off-interval rounds the "mixed" quantities alias the local ones,
-        exactly like the one-shot path, and the update phase computes each
-        block's new tracking value before overwriting it, so the aliasing
-        is safe under any block order.
+        and the update phase computes each block's new tracking value
+        before overwriting it, so the aliasing is safe under any block
+        order.  Agents inactive in the first round start from a zero
+        tracking estimate, as in the loop engine.
         """
         gamma = self.config.learning_rate
         clip = self.config.clip_threshold
@@ -261,7 +248,7 @@ class DPNetFleet(DecentralizedAlgorithm):
             params = self.state[start:stop].copy()
             for _ in range(self.config.local_steps):
                 params = params - gamma * corrected
-            local[start:stop] = self._freeze_block(
+            local[start:stop] = self.freeze_inactive_rows(
                 params, self.state[start:stop], start, stop
             )
 
@@ -304,62 +291,16 @@ class DPNetFleet(DecentralizedAlgorithm):
             fresh = self._block_perturbed_gradients(
                 start, stop, mixed_params[start:stop]
             )
-            new_tracking = self._freeze_block(
+            new_tracking = self.freeze_inactive_rows(
                 mixed_tracking[start:stop] + fresh - previous[start:stop],
                 tracking[start:stop],
                 start,
                 stop,
             )
             tracking[start:stop] = new_tracking
-            previous[start:stop] = self._freeze_block(
+            previous[start:stop] = self.freeze_inactive_rows(
                 fresh, previous[start:stop], start, stop
             )
             self.state[start:stop] = mixed_params[start:stop]
 
         self._scheduler.map(update_block, blocks, serial=serial)
-
-    def _step_vectorized(self, round_index: int) -> None:
-        if self._streamed:
-            self._step_streamed(round_index)
-            return
-        gamma = self.config.learning_rate
-
-        if not self._initialized:
-            # The masked gradient path leaves agents inactive in the first
-            # round at a zero tracking estimate, as in the loop engine.
-            initial = self._fresh_fleet_gradients(self.state)
-            self.tracking_state = initial
-            self.previous_gradient_state = initial.copy()
-            self._initialized = True
-
-        # 1. Local steps along the re-clipped tracking direction (inactive
-        #    agents take none).
-        corrected = clip_rows_by_l2_norm(self.tracking_state, self.config.clip_threshold)
-        local_params = self.state.copy()
-        for _ in range(self.config.local_steps):
-            local_params = local_params - gamma * corrected
-        local_params = self.freeze_inactive_rows(local_params, self.state)
-
-        # 2. One (model, tracking) exchange per directed edge; off-interval
-        #    rounds exchange nothing and keep each agent's own estimates.
-        # 3. Gossip averaging + recursive gradient correction.  Inactive
-        #    agents draw no fresh gradient and keep their tracking state and
-        #    previous gradient frozen.
-        if self.gossip_now(round_index):
-            params_shared = self.compress_gossip_rows("state.0", local_params)
-            tracking_shared = self.compress_gossip_rows("state.1", self.tracking_state)
-            values, wire_bytes = self.gossip_wire_cost(self.num_gossip_channels)
-            self.record_fleet_exchange("state", values, wire_bytes)
-            mixed_params = self.mix_rows(params_shared)
-            mixed_tracking = self.mix_rows(tracking_shared)
-        else:
-            mixed_params = local_params
-            mixed_tracking = self.tracking_state
-        fresh = self._fresh_fleet_gradients(mixed_params)
-        self.tracking_state = self.freeze_inactive_rows(
-            mixed_tracking + fresh - self.previous_gradient_state, self.tracking_state
-        )
-        self.previous_gradient_state = self.freeze_inactive_rows(
-            fresh, self.previous_gradient_state
-        )
-        self.state = mixed_params

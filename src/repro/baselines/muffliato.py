@@ -36,15 +36,10 @@ class Muffliato(DecentralizedAlgorithm):
             self.gossip_broadcast(agent, tag, vectors[agent])
             for agent in range(self.num_agents)
         ]
-        mixed: List[np.ndarray] = []
-        for agent in range(self.num_agents):
-            received = self.gossip_receive(agent, tag)
-            received[agent] = shared[agent]
-            acc = np.zeros(self.dimension, dtype=np.float64)
-            for j, value in received.items():
-                acc += self.topology.weight(agent, j) * value
-            mixed.append(acc)
-        return mixed
+        return [
+            self.mix_received(agent, shared[agent], self.gossip_receive(agent, tag))
+            for agent in range(self.num_agents)
+        ]
 
     def _step_loop(self, round_index: int) -> None:
         gamma = self.config.learning_rate
@@ -72,13 +67,14 @@ class Muffliato(DecentralizedAlgorithm):
 
         self.params = updated
 
-    def _step_streamed(self, round_index: int) -> None:
-        """Blocked twin of :meth:`_step_vectorized` (bit-identical by design).
+    def _step_vectorized(self, round_index: int) -> None:
+        """The round streamed over row blocks.
 
         The gossip cascade ping-pongs between two float64 fleet scratches
-        (the one-shot path's ``updated`` is float64 throughout: the local
-        step subtracts a float64 perturbed gradient and every mix preserves
-        it), so ``gossip_steps`` rounds of mixing allocate nothing.
+        (the local step subtracts a float64 perturbed gradient and every mix
+        preserves it), so ``gossip_steps`` rounds of mixing allocate
+        nothing.  Inactive rows are exactly zero in the perturbed gradient
+        and have identity mixing rows, so they ride through unchanged.
         """
         gamma = self.config.learning_rate
         current = self._round_scratch("gossip.a", np.float64)
@@ -111,23 +107,3 @@ class Muffliato(DecentralizedAlgorithm):
                     self.record_fleet_exchange(tag, values, wire_bytes)
                     self._mix_into(other, current)
         self._store_blocked(self.state, current)
-
-    def _step_vectorized(self, round_index: int) -> None:
-        if self._streamed:
-            self._step_streamed(round_index)
-            return
-        gamma = self.config.learning_rate
-        batches = self.draw_batches()
-        gradients = self.fleet_gradients(self.state, batches)
-        perturbed = self.privatize_rows(gradients)
-        # Inactive rows are exactly zero in ``perturbed`` and have identity
-        # mixing rows, so they ride through the step and gossip unchanged.
-        updated = self.state - gamma * perturbed
-        if self.gossip_now(round_index):
-            for gossip_round in range(self.config.gossip_steps):
-                tag = f"gossip_{gossip_round}"
-                shared = self.compress_gossip_rows(tag, updated)
-                values, wire_bytes = self.gossip_wire_cost()
-                self.record_fleet_exchange(tag, values, wire_bytes)
-                updated = self.mix_rows(shared)
-        self.state = updated

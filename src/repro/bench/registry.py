@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.bench.guard import FloorDecision, arm_floor, check_memory
-from repro.bench.timer import Measurement, Timer
+from repro.bench.timer import Measurement, Timer, reset_peak_rss
 
 __all__ = [
     "FloorSpec",
@@ -198,7 +198,9 @@ def run_benchmark(
     calls → ``teardown`` (always, even when a timed call raises).  The
     metrics dict from the *last* timed call is kept — suites are expected to
     produce stable metrics across repeats (their internal comparisons do
-    their own best-of timing where it matters).
+    their own best-of timing where it matters).  The process RSS high-water
+    mark is reset before ``setup`` (:func:`~repro.bench.timer.reset_peak_rss`),
+    so the recorded peak belongs to this suite alone.
     """
     repeats = bench.default_repeats if repeats is None else max(1, int(repeats))
     warmup = bench.default_warmup if warmup is None else bool(warmup)
@@ -226,6 +228,7 @@ def run_benchmark(
             )
     measurement = Measurement()
     metrics: Dict[str, float] = {}
+    reset_peak_rss()
     bench.setup()
     try:
         if warmup:

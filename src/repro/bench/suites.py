@@ -6,7 +6,8 @@ Each suite packages one hot path of the system behind the
 * ``engine/round`` — loop vs vectorized engine, seconds per DP-DPSGD round;
 * ``engine/round-streamed`` — one full streamed round (blocked gradients,
   noise, codec, gossip; memmap state) across fleet sizes up to a million
-  agents, memory-guarded, streamed-vs-one-shot bit-identity asserted;
+  agents, memory-guarded, small-block vs default-block bit-identity
+  asserted;
 * ``gossip/sparse`` — dense vs CSR gossip kernels (bit-identity checked);
 * ``gossip/compressed`` — dense vs top-k vs int8 gossip wire bytes
   (identity-codec bit-identity checked);
@@ -394,8 +395,9 @@ class StreamedRoundSuite(Benchmark):
     Where ``gossip/scaling-sweep`` times the mixing kernel in isolation,
     this suite times one *complete* communication round — blocked batch
     drawing, stacked gradient passes, per-agent clip + Gaussian noise, codec
-    and gossip — through the streamed pipeline (``block_rows`` +
-    ``storage="memmap"``), on a CSR ring with one shared data shard and a
+    and gossip — through the streamed pipeline with small blocks
+    (``block_rows`` ≈ N/4 + ``storage="memmap"``), on a CSR ring with one
+    shared data shard and a
     small linear model so the per-agent bookkeeping (samplers, mechanisms,
     RNG streams) dominates exactly as it does at fleet scale.
 
@@ -405,8 +407,11 @@ class StreamedRoundSuite(Benchmark):
     * ``workersK_s@N`` — the same round with ``block_workers=K``
       (``REPRO_BENCH_ROUND_WORKERS``), numerically identical by
       construction;
-    * ``oneshot_s@N`` — the in-RAM one-shot round, only at sizes where the
-      bit-identity check runs (streamed vs one-shot state asserted equal).
+    * ``oneshot_s@N`` — the in-RAM round at the default block size
+      (``block_rows=None``, a single block at these sizes), only where the
+      bit-identity check runs (small-block vs default state asserted
+      equal).  The name predates the removal of the separate one-shot
+      round and is kept so artifacts stay comparable.
 
     Too-large points are skipped (never failed) through the shared memory
     guard, with reasons recorded in the artifact notes; ``max_agents``
@@ -417,7 +422,7 @@ class StreamedRoundSuite(Benchmark):
     description = "full streamed round (gradients+noise+gossip) across N, memory-guarded"
     default_repeats = 1
     default_warmup = False
-    #: Streamed-vs-one-shot bit-identity is asserted in-sweep up to this N
+    #: Small-block vs default-block bit-identity is asserted in-sweep up to this N
     #: (cheap); beyond it the property-test grid owns the guarantee.
     BIT_CHECK_MAX_AGENTS = 4096
     NUM_FEATURES = 4
@@ -541,11 +546,11 @@ class StreamedRoundSuite(Benchmark):
                 if state.size:
                     np.testing.assert_array_equal(state, workers_state)
             if num_agents <= self.BIT_CHECK_MAX_AGENTS:
-                oneshot_s, oneshot_state = self._round_seconds(num_agents)
-                metrics[f"oneshot_s@{num_agents}"] = oneshot_s
-                # The streamed round is bit-identical to the historic
-                # one-shot path — asserted in-sweep, every run.
-                np.testing.assert_array_equal(state, oneshot_state)
+                default_s, default_state = self._round_seconds(num_agents)
+                metrics[f"oneshot_s@{num_agents}"] = default_s
+                # Small memmap blocks are bit-identical to the default
+                # block size — asserted in-sweep, every run.
+                np.testing.assert_array_equal(state, default_state)
         metrics["max_agents"] = float(max(self._sizes, default=0))
         peak = peak_rss_bytes()
         if peak is not None:

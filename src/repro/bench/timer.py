@@ -21,17 +21,17 @@ try:  # pragma: no cover - resource is POSIX-only
 except ImportError:  # pragma: no cover - Windows fallback
     resource = None  # type: ignore[assignment]
 
-__all__ = ["Timer", "Measurement", "peak_rss_bytes"]
+__all__ = ["Timer", "Measurement", "peak_rss_bytes", "reset_peak_rss"]
 
 
 def peak_rss_bytes() -> Optional[int]:
     """Peak resident-set size of this process in bytes (``None`` if unknown).
 
     ``ru_maxrss`` is kilobytes on Linux and bytes on macOS; normalise to
-    bytes.  The value is a high-water mark, so a suite's reading includes
-    everything the process allocated before it — artifacts therefore store
-    it per run, where it answers "how much memory does the whole suite
-    need", not per-suite deltas.
+    bytes.  The value is a high-water mark; :func:`reset_peak_rss` (called
+    by :func:`~repro.bench.registry.run_benchmark` before each suite) lowers
+    it to the current RSS where the kernel allows, so a suite's reading does
+    not include the peaks of suites that ran before it.
     """
     if resource is None:
         return None
@@ -41,6 +41,20 @@ def peak_rss_bytes() -> Optional[int]:
     if sys.platform == "darwin":  # pragma: no cover - exercised on macOS only
         return int(usage)
     return int(usage) * 1024
+
+
+def reset_peak_rss() -> None:
+    """Reset this process's RSS high-water mark to its current RSS.
+
+    Writing ``5`` to ``/proc/self/clear_refs`` (Linux) resets ``VmHWM`` and
+    with it ``ru_maxrss``.  A no-op on hosts without that file or where it
+    is not writable.
+    """
+    try:
+        with open("/proc/self/clear_refs", "w") as handle:
+            handle.write("5")
+    except OSError:
+        pass
 
 
 @dataclass

@@ -96,27 +96,10 @@ class CompressionState:
         Inactive rows pass through untouched: they transmit nothing, so
         their residuals stay put and their sparsifier streams are not
         consumed — exactly like the loop engine, where an inactive agent
-        never reaches its broadcast.
+        never reaches its broadcast.  The whole fleet is one block of
+        :meth:`compress_block`.
         """
-        matrix = np.asarray(matrix, dtype=np.float64)
-        residual = self._residual_for(channel)
-        if active_mask is None or bool(active_mask.all()):
-            work = matrix + residual if residual is not None else matrix
-            decoded = self.codec.decode_rows(work, self.rngs)
-            if residual is not None:
-                residual[:] = work - decoded
-            return decoded
-        active = np.flatnonzero(active_mask)
-        work = matrix[active]
-        if residual is not None:
-            work = work + residual[active]
-        rngs = None if self.rngs is None else [self.rngs[int(i)] for i in active]
-        decoded = self.codec.decode_rows(work, rngs)
-        out = matrix.copy()
-        out[active] = decoded
-        if residual is not None:
-            residual[active] = work - decoded
-        return out
+        return self.compress_block(channel, matrix, 0, self.num_agents, active_mask)
 
     def compress_rows_blocked(
         self,
@@ -129,7 +112,7 @@ class CompressionState:
 
         The codec kernels are row-wise and each agent's residual/stream is
         touched exactly once, so the blocked pass is **bit-identical** to
-        the one-shot call — it exists purely to bound the transient working
+        the whole-fleet call — it exists purely to bound the transient working
         set (one block's ``work``/``decoded`` arrays instead of fleet-sized
         copies) on large fleets.
         """
@@ -159,7 +142,7 @@ class CompressionState:
         This is the loop body of :meth:`compress_rows_blocked` — residuals
         and sparsifier streams are addressed by absolute agent index, so
         processing disjoint blocks in any order (including concurrently,
-        after :meth:`ensure_channel`) is bit-identical to the one-shot call.
+        after :meth:`ensure_channel`) is bit-identical to one whole-fleet block.
         Returns the decoded ``(stop - start, d)`` block (float64).
         """
         block = np.asarray(block, dtype=np.float64)

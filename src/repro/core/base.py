@@ -22,21 +22,23 @@ Two execution engines share that state (selected by
 * the **loop** backend steps agents one at a time and routes every exchange
   through the :class:`Network` mailbox — faithful to a real deployment,
   message by message, and required for fault injection;
-* the **vectorized** backend performs the same round as whole-fleet tensor
-  operations — the gossip step is a single ``W @ X`` multiply
-  (:meth:`mix_rows`, dispatched through the topology's
-  :class:`~repro.topology.mixing.MixingOperator`: O(M^2 d) dense or
-  O(nnz d) CSR, bit-identical either way), gradients are evaluated with
-  stacked forward/backward passes where the model allows it
-  (:meth:`fleet_gradients`), and clipping + Gaussian noise are applied
-  row-wise (:meth:`privatize_rows`, one batched draw per owner agent).
+* the **vectorized** backend performs the same round as one streamed
+  pipeline over ``(block_rows, d)`` row blocks of the fleet — batches,
+  stacked forward/backward passes (:meth:`fleet_gradients`), row-wise
+  clip + Gaussian noise (:meth:`privatize_rows`, one batched draw per owner
+  agent), codec and the gossip product ``W @ X`` (dispatched through the
+  topology's :class:`~repro.topology.mixing.MixingOperator`: O(M^2 d) dense
+  or O(nnz d) CSR, bit-identical either way).  ``AlgorithmConfig.block_rows``
+  only sizes the blocks (``None`` picks ~32 MiB per block, i.e. one block
+  whenever the float64 fleet matrix fits in 32 MiB); every block size
+  gives the same bits.
   Per-agent random streams are consumed in the same order as the loop
   backend, so the two engines produce the same trajectory for a fixed seed
   (up to floating-point associativity).
 
-Subclasses implement :meth:`_step_loop` (and usually
-:meth:`_step_vectorized`), each executing one communication round for all
-agents; :meth:`step` dispatches on the configured backend.
+Subclasses implement :meth:`_step_loop` and :meth:`_step_vectorized`, each
+executing one communication round for all agents; :meth:`step` dispatches
+on the configured backend.
 """
 
 from __future__ import annotations
@@ -255,14 +257,12 @@ class DecentralizedAlgorithm:
         # it, so the two engines cannot drift to different dtypes);
         # ``_grad_dtype`` is its counterpart for gradient/loss buffers, which
         # stay double precision in every mode because the model kernels are
-        # float64.  ``_block_rows`` turns on the streaming (row-blocked)
-        # kernels for gossip, clip+noise and codec passes.
+        # float64.
         self._precision: str = getattr(config, "dtype", "float64")
         self._dtype: np.dtype = np.dtype(
             np.float64 if self._precision == "float64" else np.float32
         )
         self._grad_dtype: np.dtype = np.dtype(np.float64)
-        self._block_rows: Optional[int] = getattr(config, "block_rows", None)
         # Streamed-round plumbing.  ``_stream_rows`` is the resolved row-block
         # size every blocked stage uses (the explicit ``block_rows`` when set,
         # else a ~32 MiB default); ``_scheduler`` runs independent row blocks
@@ -276,7 +276,10 @@ class DecentralizedAlgorithm:
         self._block_workers: int = max(1, int(getattr(config, "block_workers", 1)))
         self._scheduler = RoundScheduler(self._block_workers)
         self._stream_rows: int = resolve_block_rows(
-            topology.num_agents, model.num_params, self._block_rows, itemsize=8
+            topology.num_agents,
+            model.num_params,
+            getattr(config, "block_rows", None),
+            itemsize=8,
         )
         self._fleet_backing: Dict[str, FleetState] = {}
         self._scratch: Dict[str, np.ndarray] = {}
@@ -456,25 +459,32 @@ class DecentralizedAlgorithm:
     @property
     def backend(self) -> str:
         """The engine that will execute the next round (after fallbacks)."""
-        return "vectorized" if self._use_vectorized() else "loop"
-
-    def _use_vectorized(self) -> bool:
-        # Message drops are per-message events; they only exist on the loop
-        # path, so a lossy network forces the loop backend.  Stochastic
-        # models (dropout) force it too: their shared forward-pass RNG would
-        # be consumed in a different order by the re-grouped vectorized
-        # gradient evaluations, breaking loop/vectorized trajectory
-        # equivalence.
-        return (
+        if (
             getattr(self.config, "backend", "loop") == "vectorized"
-            and self.network.drop_probability == 0.0
-            and not self._model_is_stochastic
-        )
+            and self.loop_fallback_cause() is None
+        ):
+            return "vectorized"
+        return "loop"
+
+    def loop_fallback_cause(self) -> Optional[str]:
+        """Why the vectorized engine cannot run the next round (``None``: it can).
+
+        Message drops are per-message events; they only exist on the loop
+        path, so a lossy network forces the loop backend.  Stochastic models
+        (dropout) force it too: their shared forward-pass RNG would be
+        consumed in a different order by the re-grouped vectorized gradient
+        evaluations, breaking loop/vectorized trajectory equivalence.
+        """
+        if self.network.drop_probability > 0.0:
+            return f"drop probability {self.network.drop_probability} > 0"
+        if self._model_is_stochastic:
+            return "the model has dropout (or uninspectable) layers"
+        return None
 
     def step(self, round_index: int) -> None:
         """Execute one synchronous communication round for every agent."""
         self._begin_round(round_index)
-        if self._use_vectorized():
+        if self.backend == "vectorized":
             self._step_vectorized(round_index)
         else:
             self._step_loop(round_index)
@@ -514,39 +524,39 @@ class DecentralizedAlgorithm:
         return events
 
     def freeze_inactive_rows(
-        self, updated: np.ndarray, current: np.ndarray
+        self,
+        updated: np.ndarray,
+        current: np.ndarray,
+        start: int = 0,
+        stop: Optional[int] = None,
     ) -> np.ndarray:
         """Keep inactive agents' rows at ``current``; active rows take ``updated``.
 
-        The vectorized engine computes whole-fleet updates and then pins the
-        rows of agents that sat the round out — matching the loop engine,
-        which simply never touches them.  With every agent active this
-        returns ``updated`` unchanged (bit-identical legacy path).
+        ``updated`` and ``current`` hold the rows of agents ``start:stop``
+        (default: the whole fleet).  The vectorized engine computes the
+        update for a block of rows and then pins the rows of agents that sat
+        the round out — matching the loop engine, which simply never touches
+        them.  With every agent active this returns ``updated`` unchanged.
         """
         if self._all_active:
             return updated
-        return np.where(self.active_mask[:, None], updated, current)
+        return np.where(self.active_mask[start:stop, None], updated, current)
 
     # ------------------------------------------------------------------
     # Streamed round pipeline
     # ------------------------------------------------------------------
-    # With ``block_rows`` configured, the vectorized engine executes the
-    # *whole* round as a pipeline over disjoint ``(block_rows, d)`` row
-    # blocks: each block draws its agents' batches, evaluates gradients with
-    # the stacked passes, applies clip+noise, updates momentum/state and
-    # stages its gossip payload — never materialising more than a handful of
-    # block-sized transients plus the reusable fleet-shaped scratch buffers.
-    # Every per-agent random stream (sampler, mechanism, codec) is an
-    # independent generator consumed exactly once per round per agent, and
-    # all whole-fleet kernels used here are row-wise (or row-blocked with
-    # unchanged accumulation order), so the streamed round is bit-identical
-    # to the historical one-shot round — including under a parallel
-    # ``RoundScheduler``, because blocks own disjoint rows and streams.
-
-    @property
-    def _streamed(self) -> bool:
-        """Whether the vectorized round runs on the blocked stream pipeline."""
-        return self._block_rows is not None
+    # The vectorized engine executes the *whole* round as a pipeline over
+    # disjoint ``(_stream_rows, d)`` row blocks: each block draws its agents'
+    # batches, evaluates gradients with the stacked passes, applies
+    # clip+noise, updates momentum/state and stages its gossip payload —
+    # never materialising more than a handful of block-sized transients plus
+    # the reusable fleet-shaped scratch buffers.  Every per-agent random
+    # stream (sampler, mechanism, codec) is an independent generator
+    # consumed exactly once per round per agent, and all whole-fleet kernels
+    # used here are row-wise (or row-blocked with unchanged accumulation
+    # order), so the round is bit-identical for every block size — including
+    # under a parallel ``RoundScheduler``, because blocks own disjoint rows
+    # and streams.
 
     def _fleet_blocks(self) -> List[Tuple[int, int]]:
         """The round's ``(start, stop)`` row blocks over the whole fleet."""
@@ -593,14 +603,6 @@ class DecentralizedAlgorithm:
             self._scratch[key] = scratch
         return scratch
 
-    def _freeze_block(
-        self, updated: np.ndarray, current: np.ndarray, start: int, stop: int
-    ) -> np.ndarray:
-        """:meth:`freeze_inactive_rows` restricted to rows ``start:stop``."""
-        if self._all_active:
-            return updated
-        return np.where(self.active_mask[start:stop, None], updated, current)
-
     def _block_perturbed_gradients(
         self,
         start: int,
@@ -629,7 +631,7 @@ class DecentralizedAlgorithm:
         gradients = self.fleet_gradients(rows, batches)
         return self.privatize_rows(gradients, agents=range(start, stop))
 
-    def _streamed_local_perturbed(
+    def _local_perturbed_gradients(
         self,
     ) -> Tuple[List[Optional[Batch]], np.ndarray]:
         """Blocked phase 1: every agent's perturbed local gradient.
@@ -699,7 +701,7 @@ class DecentralizedAlgorithm:
         source = source.view()
         source.flags.writeable = False
         if self._precision == "mixed" and source.dtype == np.float32:
-            self.mixing.apply_mixed(source, block_rows=self._block_rows, out=out)
+            self.mixing.apply_mixed(source, block_rows=self._stream_rows, out=out)
             return out
         self._scheduler.map(
             lambda start, stop: self.mixing.mix_block(source, start, stop, out),
@@ -852,20 +854,11 @@ class DecentralizedAlgorithm:
             ``0..num_agents-1`` (one row per agent).  Rows owned by the same
             agent must appear in the order the loop backend would privatize
             them, so both backends consume identical noise streams.
+
+        The round passes one row block (or one evaluator-aligned chunk) at a
+        time, so the transient stays block-sized.
         """
-        rows = np.asarray(rows)
-        if self._block_rows is None:
-            clipped = clip_rows_by_l2_norm(rows, self.config.clip_threshold)
-        else:
-            # Streamed clipping: the kernel is purely row-wise, so applying
-            # it block by block is identical to the whole-matrix call while
-            # bounding the transient to one (block_rows, d) chunk.
-            clipped = np.empty_like(rows)
-            for start in range(0, rows.shape[0], self._block_rows):
-                stop = min(start + self._block_rows, rows.shape[0])
-                clipped[start:stop] = clip_rows_by_l2_norm(
-                    rows[start:stop], self.config.clip_threshold
-                )
+        clipped = clip_rows_by_l2_norm(rows, self.config.clip_threshold)
         owners = range(self.num_agents) if agents is None else agents
         if len(owners) != clipped.shape[0]:
             raise ValueError(
@@ -908,37 +901,28 @@ class DecentralizedAlgorithm:
         pairs = self.topology.directed_pairs()
         evaluators = [i for i, _ in pairs]
         owners = [j for _, j in pairs]
-        if self._streamed and pairs:
-            # Streamed twin: evaluate the pair rows in evaluator-aligned
-            # chunks of ~block_rows rows.  Each evaluator's rows stay inside
-            # one chunk in their one-shot order, so its mechanism stream is
-            # consumed by the same batched draws — bit-identical to the
-            # one-shot call, under any chunking and any block schedule.
-            cross_perturbed = np.empty(
-                (len(pairs), self.dimension), dtype=self._grad_dtype
+        # The pair rows are evaluated in evaluator-aligned chunks of
+        # ~block_rows rows.  Each evaluator's rows stay inside one chunk in
+        # pair order, so its mechanism stream is consumed by the same
+        # batched draws under any chunking and any block schedule.
+        cross_perturbed = np.empty((len(pairs), self.dimension), dtype=self._grad_dtype)
+
+        def run_chunk(start: int, stop: int) -> None:
+            chunk_owners = owners[start:stop]
+            chunk_evaluators = evaluators[start:stop]
+            gradients = self.fleet_gradients(
+                self.state[chunk_owners],
+                [batches[i] for i in chunk_evaluators],
+            )
+            cross_perturbed[start:stop] = self.privatize_rows(
+                gradients, agents=chunk_evaluators
             )
 
-            def run_chunk(start: int, stop: int) -> None:
-                chunk_owners = owners[start:stop]
-                chunk_evaluators = evaluators[start:stop]
-                gradients = self.fleet_gradients(
-                    self.state[chunk_owners],
-                    [batches[i] for i in chunk_evaluators],
-                )
-                cross_perturbed[start:stop] = self.privatize_rows(
-                    gradients, agents=chunk_evaluators
-                )
-
-            self._scheduler.map(
-                run_chunk,
-                self._evaluator_chunks(evaluators),
-                serial=self._stacked is None,
-            )
-        else:
-            cross = self.fleet_gradients(
-                self.state[owners], [batches[i] for i in evaluators]
-            )
-            cross_perturbed = self.privatize_rows(cross, agents=evaluators)
+        self._scheduler.map(
+            run_chunk,
+            self._evaluator_chunks(evaluators),
+            serial=self._stacked is None,
+        )
         pair_rows = {pair: row for row, pair in enumerate(pairs)}
         return cross_perturbed, pair_rows
 
@@ -947,13 +931,14 @@ class DecentralizedAlgorithm:
 
         Chunks hold at least ``_stream_rows`` rows (except the last) and
         never split one evaluator's rows across chunks, which is what makes
-        the chunked cross-gradient noise draws identical to the one-shot
-        batched draw per evaluator.
+        the chunked cross-gradient noise draws identical to a single batched
+        draw per evaluator.
         """
         chunks: List[Tuple[int, int]] = []
         start = 0
-        for k in range(1, len(evaluators) + 1):
-            if k == len(evaluators) or (
+        count = len(evaluators)
+        for k in range(1, count + 1):
+            if k == count or (
                 evaluators[k] != evaluators[k - 1] and k - start >= self._stream_rows
             ):
                 chunks.append((start, k))
@@ -988,17 +973,14 @@ class DecentralizedAlgorithm:
         Dispatches to the configured :class:`~repro.topology.mixing.MixingOperator`:
         O(M^2 d) for dense storage, O(nnz d) for CSR — with bit-identical
         results, so sparse topologies can opt into the cheap kernel freely.
-        With ``block_rows`` configured the product is streamed over
-        ``(block_rows, d)`` output chunks (still bit-identical); in
-        ``dtype="mixed"`` mode float32 state is mixed with float64
-        accumulation per block.
+        The product is streamed over ``(block_rows, d)`` output chunks
+        (bit-identical for every block size); in ``dtype="mixed"`` mode
+        float32 state is mixed with float64 accumulation per block.
         """
         matrix = np.asarray(matrix)
         if self._precision == "mixed" and matrix.dtype == np.float32:
-            return self.mixing.apply_mixed(matrix, block_rows=self._block_rows)
-        if self._block_rows is not None:
-            return self.mixing.mix_rows_blocked(matrix, self._block_rows)
-        return self.mixing.apply(matrix)
+            return self.mixing.apply_mixed(matrix, block_rows=self._stream_rows)
+        return self.mixing.mix_rows_blocked(matrix, self._stream_rows)
 
     def record_fleet_exchange(
         self,
@@ -1063,19 +1045,16 @@ class DecentralizedAlgorithm:
         Active rows go through the codec (updating their error-feedback
         residuals); inactive rows pass through raw, exactly like the loop
         engine where an inactive agent never reaches its broadcast.  With
-        the identity codec the input is returned unchanged.
+        the identity codec the input is returned unchanged.  The codec
+        kernels are row-wise, so encoding block by block is bit-identical
+        to the whole-matrix call while bounding the transient working set.
         """
         if self._compression_state is None:
             return matrix
         mask = None if self._all_active else self.active_mask
-        if self._block_rows is not None:
-            # Chunked codec path: the codec kernels are row-wise, so
-            # encoding block by block is bit-identical to the whole-matrix
-            # call while bounding the transient working set.
-            return self._compression_state.compress_rows_blocked(
-                channel, matrix, mask, self._block_rows
-            )
-        return self._compression_state.compress_rows(channel, matrix, mask)
+        return self._compression_state.compress_rows_blocked(
+            channel, matrix, mask, self._stream_rows
+        )
 
     def gossip_broadcast(self, agent: int, tag: str, value):
         """Broadcast one agent's gossip payload and return what consumers mix.
@@ -1138,6 +1117,27 @@ class DecentralizedAlgorithm:
             )
             for sender, payload in received.items()
         }
+
+    def mix_received(self, agent: int, own, received: Dict[int, object]):
+        """Loop-engine gossip mix: ``own + sum_j w_ij (x_j - own)`` over ``received``.
+
+        ``own`` is what the agent itself shares this round and ``received``
+        maps each neighbour that got through to its payload.  A vector
+        payload mixes as one array, a tuple payload part by part.  With
+        every neighbour received this equals ``sum_j w_ij x_j`` over the
+        closed neighbourhood; a dropped neighbour's weight stays on the
+        diagonal, so the result is a convex combination of what arrived and
+        a message loss never shrinks a model.  Accumulates in float64.
+        """
+        parts = own if isinstance(own, tuple) else (own,)
+        bases = [np.asarray(part, dtype=np.float64) for part in parts]
+        mixed = [base.copy() for base in bases]
+        for sender, payload in received.items():
+            weight = self.topology.weight(agent, sender)
+            values = payload if isinstance(own, tuple) else (payload,)
+            for acc, base, value in zip(mixed, bases, values):
+                acc += weight * (value - base)
+        return tuple(mixed) if isinstance(own, tuple) else mixed[0]
 
     def draw_batches(self) -> List[Optional[Batch]]:
         """One fresh mini-batch per *active* agent for the current round.

@@ -215,22 +215,12 @@ class PDSL(DecentralizedAlgorithm):
             return
 
         # Phase 4 — gossip averaging of momentum and model (lines 22-24).
-        new_momenta: List[np.ndarray] = []
-        new_params: List[np.ndarray] = []
-        for agent in range(self.num_agents):
-            received_mix = self.gossip_receive(agent, "mix")
-            received_mix[agent] = shared[agent]
-            momentum_acc = np.zeros(self.dimension, dtype=np.float64)
-            params_acc = np.zeros(self.dimension, dtype=np.float64)
-            for j, (momentum_hat, params_hat) in received_mix.items():
-                weight = self.topology.weight(agent, j)
-                momentum_acc += weight * momentum_hat
-                params_acc += weight * params_hat
-            new_momenta.append(momentum_acc)
-            new_params.append(params_acc)
-
-        self.momenta = new_momenta
-        self.params = new_params
+        mixed = [
+            self.mix_received(agent, shared[agent], self.gossip_receive(agent, "mix"))
+            for agent in range(self.num_agents)
+        ]
+        self.momenta = [momentum for momentum, _ in mixed]
+        self.params = [params for _, params in mixed]
 
     # ------------------------------------------------------------------
     # One round of Algorithm 1 — vectorized backend
@@ -240,19 +230,12 @@ class PDSL(DecentralizedAlgorithm):
         alpha = self.config.momentum
 
         # Phase 1 — all local gradients, privatized in agent order (first
-        # noise draw per agent, as in the loop backend).  The streamed
-        # pipeline evaluates them block by block into a reusable scratch
-        # (bit-identical: every stream is per-agent, every kernel row-wise);
-        # the one-shot path uses a single stacked pass.
-        if self._streamed:
-            batches, own_perturbed = self._streamed_local_perturbed()
-        else:
-            batches = self.draw_batches()
-            own = self.fleet_gradients(self.state, batches)
-            own_perturbed = self.privatize_rows(own)
+        # noise draw per agent, as in the loop backend), evaluated block by
+        # block into a reusable scratch.
+        batches, own_perturbed = self._local_perturbed_gradients()
         self.record_fleet_exchange("model", self.dimension)
 
-        # Phase 2 — all cross-gradients in one stacked pass over the directed
+        # Phase 2 — all cross-gradients in stacked passes over the directed
         # pairs (evaluator i, model owner j): agent i's batch, agent j's model.
         cross_perturbed, pair_rows = self.fleet_cross_gradients(batches)
         self.record_fleet_exchange("cross_grad", self.dimension)

@@ -25,8 +25,8 @@ import json
 from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.compression.config import validate_compression
-from repro.simulation.events.traces import validate_time_model
+from repro.compression.config import CompressionConfig, validate_compression
+from repro.simulation.events.traces import validate_async_knobs, validate_time_model
 from repro.topology.schedule import validate_dynamics
 
 __all__ = [
@@ -103,9 +103,9 @@ class ExperimentSpec:
     :class:`~repro.core.config.AlgorithmConfig`): ``dtype`` selects the
     fleet-state precision (``"float64"`` historic bit-exact, ``"float32"``,
     or ``"mixed"`` — float32 state with float64 mixing accumulation), and
-    ``block_rows`` streams the fleet-wide kernels over row blocks
-    (bit-identical to one-shot; ``None`` keeps the one-shot path).
-    ``block_workers`` executes independent row blocks of a streamed round on
+    ``block_rows`` sizes the row blocks the vectorized round streams over
+    (bit-identical for every size; ``None`` picks ~32 MiB per block).
+    ``block_workers`` executes independent row blocks of a round on
     a thread pool (1 = serial, the bit-identical default; parallel execution
     is numerically identical — disjoint rows, pre-split RNG streams), and
     ``storage`` selects where the fleet matrices live (``"ram"`` or
@@ -187,6 +187,11 @@ class ExperimentSpec:
                     "cluster_size applies only with topology='hierarchical'"
                 )
         validate_time_model(self.time_model, num_agents=self.num_agents)
+        if self.time_model and self.time_model.get("async", False):
+            validate_async_knobs(
+                static_schedule=not self.dynamics,
+                compression=CompressionConfig.from_mapping(self.compression),
+            )
 
     def with_updates(self, **kwargs) -> "ExperimentSpec":
         from dataclasses import replace

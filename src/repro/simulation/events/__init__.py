@@ -37,6 +37,7 @@ from repro.simulation.events.traces import (
     traces_from_spec,
     transfer_seconds,
     uniform_traces,
+    validate_async_knobs,
     validate_time_model,
 )
 
@@ -56,5 +57,6 @@ __all__ = [
     "traces_from_spec",
     "transfer_seconds",
     "uniform_traces",
+    "validate_async_knobs",
     "validate_time_model",
 ]

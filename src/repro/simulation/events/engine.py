@@ -36,7 +36,10 @@ finished one more local step, so fast agents legitimately run ahead.  Each
 completed local step is a separate clipped+noised release, so the privacy
 accountant composes over the *fastest* agent's step count (the worst-case
 per-agent loss), not one event per round.
-Requires a static topology and the identity codec.
+Requires a static topology, the identity codec, ``communication_interval=1``
+and all-neighbour peer selection — checked by
+:func:`~repro.simulation.events.traces.validate_async_knobs`, which
+:class:`~repro.experiments.specs.ExperimentSpec` also runs at parse time.
 
 Both modes checkpoint: :meth:`AsyncEngine.state_dict` embeds the event
 queue (in-flight payloads included), per-agent clocks and busy-time
@@ -61,6 +64,7 @@ from repro.simulation.events.traces import (
     traces_from_spec,
     transfer_seconds,
     uniform_traces,
+    validate_async_knobs,
     validate_time_model,
 )
 
@@ -110,22 +114,9 @@ class AsyncEngine:
         if self.staleness_decay < 0:
             raise ValueError("staleness_decay must be non-negative")
         if self.async_mode:
-            if not algorithm.schedule.is_static:
-                raise ValueError(
-                    "async mode replaces per-round masks with trace-driven "
-                    "timing and requires a static topology schedule — "
-                    "stragglers and partitions are emergent from the traces"
-                )
-            if not algorithm.codec.is_identity:
-                raise ValueError(
-                    "async mode sends raw model payloads and requires the "
-                    "identity codec"
-                )
-            if algorithm.compression_config.communication_interval != 1:
-                raise ValueError(
-                    "communication_interval is a synchronous-round concept; "
-                    "async mode requires communication_interval=1"
-                )
+            validate_async_knobs(
+                algorithm.schedule.is_static, algorithm.compression_config
+            )
         self.queue = EventQueue()
         self._sim_time = 0.0
         self._steps_done = np.zeros(algorithm.num_agents, dtype=np.int64)

@@ -45,6 +45,7 @@ __all__ = [
     "traces_from_spec",
     "transfer_seconds",
     "validate_time_model",
+    "validate_async_knobs",
 ]
 
 #: The vocabulary of ``ExperimentSpec.time_model``: ``traces`` declares the
@@ -312,3 +313,36 @@ def validate_time_model(
     ) or num_agents is None
     if traces is not None and not defer_resolution:
         traces_from_spec(traces, num_agents)
+
+
+def validate_async_knobs(static_schedule: bool, compression) -> None:
+    """Reject the knobs async mode cannot honour.
+
+    Async mode replaces the synchronous round with trace-driven local steps
+    and raw-model gossip with every neighbour on arrival, so it needs
+    all-neighbour peer selection, a static topology schedule, the identity
+    codec and ``communication_interval=1``.  ``compression`` is a
+    :class:`~repro.compression.config.CompressionConfig`.  Shared by
+    :class:`~repro.experiments.specs.ExperimentSpec` (at parse time) and
+    :class:`~repro.simulation.events.engine.AsyncEngine`.
+    """
+    if compression.peer_selection == "shift_one":
+        raise ValueError(
+            "async mode gossips with every neighbour on arrival and cannot "
+            "use peer_selection='shift_one'"
+        )
+    if not static_schedule:
+        raise ValueError(
+            "async mode replaces per-round masks with trace-driven "
+            "timing and requires a static topology schedule — "
+            "stragglers and partitions are emergent from the traces"
+        )
+    if not compression.is_identity:
+        raise ValueError(
+            "async mode sends raw model payloads and requires the identity codec"
+        )
+    if compression.communication_interval != 1:
+        raise ValueError(
+            "communication_interval is a synchronous-round concept; "
+            "async mode requires communication_interval=1"
+        )

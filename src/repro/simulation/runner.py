@@ -27,6 +27,7 @@ thin shim over a session.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,6 +52,8 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a circular import at runtime
     from repro.core.base import DecentralizedAlgorithm
 
 __all__ = ["EvaluationConfig", "CallbackBus", "RunSession", "run_decentralized"]
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -253,6 +256,15 @@ class RunSession:
             # not merely the configured one.
             "backend": getattr(algorithm, "backend", "loop"),
         }
+        if (
+            getattr(algorithm.config, "backend", "loop") == "vectorized"
+            and metadata["backend"] == "loop"
+        ):
+            logger.warning(
+                "%s asked for the vectorized engine but runs on the loop engine: %s",
+                algorithm.name,
+                algorithm.loop_fallback_cause(),
+            )
         schedule = getattr(algorithm, "schedule", None)
         if schedule is not None and not schedule.is_static:
             metadata["dynamics"] = schedule.describe()

@@ -470,14 +470,8 @@ class MixingOperator:
             raise ValueError(
                 f"out buffer has shape {out.shape}, expected {rows.shape}"
             )
-        matrix = self._matrix_for(rows.dtype)
         for start in range(0, n, block_rows):
-            stop = min(start + block_rows, n)
-            block = matrix[start:stop]
-            if self.format == "csr":
-                out[start:stop] = block @ rows
-            else:
-                out[start:stop] = np.einsum("ij,jk->ik", block, rows)
+            self.mix_block(rows, start, min(start + block_rows, n), out)
         return out
 
     def mix_block(

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+
+import numpy as np
 import pytest
 
 from repro.bench.guard import (
@@ -81,6 +84,23 @@ class TestLifecycle:
     def test_rss_captured_on_linux(self):
         result = run_benchmark(LifecycleProbe())
         assert result.rss_peak_bytes is None or result.rss_peak_bytes > 0
+
+    def test_peak_rss_is_per_suite(self):
+        if not os.access("/proc/self/clear_refs", os.W_OK):
+            pytest.skip("the peak RSS cannot be reset on this host")
+
+        class Hungry(LifecycleProbe):
+            name = "test/hungry"
+
+            def run(self):
+                block = np.ones(128 << 20, dtype=np.uint8)  # 128 MiB, touched
+                del block
+                return {}
+
+        hungry = run_benchmark(Hungry(), repeats=1, warmup=False)
+        tiny = run_benchmark(LifecycleProbe(), repeats=1, warmup=False)
+        assert hungry.rss_peak_bytes is not None and tiny.rss_peak_bytes is not None
+        assert tiny.rss_peak_bytes < hungry.rss_peak_bytes - (64 << 20)
 
 
 class TestRegistry:

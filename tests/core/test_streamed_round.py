@@ -1,13 +1,15 @@
 """The streamed round pipeline: bit-identity, parallel blocks, checkpoints.
 
-The blocked/streamed execution of a full round (``block_rows`` set, with or
-without ``storage="memmap"`` and ``block_workers > 1``) is a pure memory
-optimisation: every per-agent random stream is pre-split and consumed once
-per round per agent, every kernel is row-wise, and parallel blocks touch
-disjoint rows — so the resulting trajectory must equal the historic one-shot
-path **bit for bit**, for every algorithm, on both engines.  These tests pin
-that contract, plus the scheduler's lifecycle and cross-mode checkpointing
-(a run started streamed resumes in-RAM and vice versa).
+The vectorized engine always runs the round as a pipeline over row blocks;
+``block_rows`` only sizes the blocks (``None`` is the auto size, one block
+for these fleets), ``storage="memmap"`` moves the fleet matrices to disk and
+``block_workers > 1`` runs blocks on threads.  Every per-agent random stream
+is pre-split and consumed once per round per agent, every kernel is
+row-wise, and parallel blocks touch disjoint rows — so every combination
+must equal the default ``block_rows=None`` run **bit for bit**, for every
+algorithm, on both engines.  These tests pin that contract, plus the
+scheduler's lifecycle and cross-mode checkpointing (a run started with small
+memmap blocks resumes in RAM at the default size and vice versa).
 """
 
 import numpy as np
@@ -80,35 +82,44 @@ def run_rounds(name, rounds=ROUNDS, **config_overrides):
 
 
 @pytest.fixture(scope="module")
-def oneshot_baselines():
-    """One-shot vectorized trajectories, computed once per algorithm."""
+def default_baselines():
+    """Default (``block_rows=None``) vectorized trajectories, once per algorithm."""
     return {name: run_rounds(name) for name in ALGORITHMS}
 
 
 class TestStreamedBitIdentity:
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
-    @pytest.mark.parametrize("block_rows", [1, 2, NUM_AGENTS])
-    def test_streamed_matches_oneshot(self, name, block_rows, oneshot_baselines):
-        state, momentum = run_rounds(name, block_rows=block_rows)
-        np.testing.assert_array_equal(state, oneshot_baselines[name][0])
-        np.testing.assert_array_equal(momentum, oneshot_baselines[name][1])
+    @pytest.mark.parametrize("block_rows", [None, 1, 2, NUM_AGENTS])
+    @pytest.mark.parametrize(
+        "block_workers,storage",
+        [(1, "ram"), (2, "memmap")],
+        ids=["serial-ram", "workers2-memmap"],
+    )
+    def test_block_layout_matches_default(
+        self, name, block_rows, block_workers, storage, default_baselines
+    ):
+        state, momentum = run_rounds(
+            name, block_rows=block_rows, block_workers=block_workers, storage=storage
+        )
+        np.testing.assert_array_equal(state, default_baselines[name][0])
+        np.testing.assert_array_equal(momentum, default_baselines[name][1])
 
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
-    def test_parallel_blocks_match_serial(self, name, oneshot_baselines):
+    def test_parallel_blocks_match_serial(self, name, default_baselines):
         state, momentum = run_rounds(name, block_rows=2, block_workers=4)
-        np.testing.assert_array_equal(state, oneshot_baselines[name][0])
-        np.testing.assert_array_equal(momentum, oneshot_baselines[name][1])
+        np.testing.assert_array_equal(state, default_baselines[name][0])
+        np.testing.assert_array_equal(momentum, default_baselines[name][1])
 
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
-    def test_memmap_storage_matches_oneshot(self, name, oneshot_baselines):
+    def test_memmap_storage_matches_default(self, name, default_baselines):
         state, momentum = run_rounds(
             name, block_rows=2, storage="memmap", block_workers=4
         )
-        np.testing.assert_array_equal(state, oneshot_baselines[name][0])
-        np.testing.assert_array_equal(momentum, oneshot_baselines[name][1])
+        np.testing.assert_array_equal(state, default_baselines[name][0])
+        np.testing.assert_array_equal(momentum, default_baselines[name][1])
 
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
-    def test_loop_engine_blocked_matches_loop_oneshot(self, name):
+    def test_loop_engine_blocked_matches_loop_default(self, name):
         base_state, base_momentum = run_rounds(name, backend="loop")
         state, momentum = run_rounds(
             name, backend="loop", block_rows=2, storage="memmap"
@@ -161,7 +172,7 @@ class TestCrossModeCheckpoint:
             ({"block_rows": 2, "storage": "memmap"}, {}),
             ({}, {"block_rows": 2, "storage": "memmap"}),
         ],
-        ids=["streamed-to-ram", "ram-to-streamed"],
+        ids=["memmap-blocks-to-default", "default-to-memmap-blocks"],
     )
     def test_resume_across_modes_is_bit_identical(
         self, tmp_path, name, save_kwargs, resume_kwargs

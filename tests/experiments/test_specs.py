@@ -204,6 +204,22 @@ class TestTimeModelField:
         with pytest.raises(ValueError, match="3 explicit traces"):
             fast_spec(num_agents=6).with_updates(time_model={"traces": traces})
 
+    @pytest.mark.parametrize(
+        "conflict,match",
+        [
+            ({"dynamics": {"churn_rate": 0.1}}, "static topology"),
+            ({"compression": {"codec": "topk", "k": 3}}, "identity codec"),
+            ({"compression": {"communication_interval": 2}}, "communication_interval"),
+            ({"compression": {"peer_selection": "shift_one"}}, "shift_one"),
+        ],
+        ids=["churn", "codec", "interval", "shift_one"],
+    )
+    def test_async_knob_conflicts_rejected_at_construction(self, conflict, match):
+        with pytest.raises(ValueError, match=match):
+            fast_spec().with_updates(time_model={"async": True}, **conflict)
+        # The same knobs are fine on the synchronous (barrier) time model.
+        fast_spec().with_updates(time_model={"async": False}, **conflict)
+
     def test_time_model_survives_serialization(self):
         from repro.experiments.specs import spec_from_dict, spec_to_dict
 

@@ -1,12 +1,13 @@
-"""Scaling-layer properties: blocked == one-shot bitwise, precision budgets.
+"""Scaling-layer properties: every block layout is bitwise equal, precision budgets.
 
 Two guarantees anchor the million-agent scaling work:
 
 * **bit-identity** — streaming a row-independent kernel over ``(block, d)``
   chunks must change *nothing*: ``mix_rows_blocked`` equals ``apply`` bit
   for bit (dense and CSR, any block size), the blocked codec path equals
-  the one-shot path, and an engine configured with ``block_rows`` walks the
-  exact trajectory of the unblocked engine;
+  the whole-matrix call, and an engine configured with any ``block_rows``,
+  ``block_workers`` or ``storage`` walks the exact trajectory of the default
+  ``block_rows=None`` engine;
 * **accuracy budget** — float32 / mixed-precision state is lossy by
   construction, so the divergence from the float64 trajectory is *pinned*:
   every algorithm must stay inside an explicit per-round budget, turning
@@ -156,12 +157,17 @@ class TestBlockedCompressionBitIdentity:
 
 
 class TestEngineBlockedBitIdentity:
-    """An engine with ``block_rows`` set walks the unblocked trajectory exactly."""
+    """Any block layout walks the default ``block_rows=None`` trajectory exactly."""
 
     @pytest.mark.parametrize("name", ALGORITHMS)
-    def test_trajectories_identical(self, name):
+    @pytest.mark.parametrize(
+        "layout",
+        [{"block_rows": 5}, {"block_workers": 2, "storage": "memmap"}],
+        ids=["block_rows5", "default-rows-workers2-memmap"],
+    )
+    def test_trajectories_identical(self, name, layout):
         baseline = _build(name)
-        blocked = _build(name, block_rows=5)
+        blocked = _build(name, **layout)
         for _ in range(ROUNDS):
             baseline.run_round()
             blocked.run_round()

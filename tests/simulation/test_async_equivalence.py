@@ -314,6 +314,11 @@ class TestAsyncMode:
         )
         with pytest.raises(ValueError, match="communication_interval"):
             AsyncEngine(strided, async_mode=True)
+        matched, _ = make_small_fleet(
+            "DMSGD", compression={"peer_selection": "shift_one"}
+        )
+        with pytest.raises(ValueError, match="shift_one"):
+            AsyncEngine(matched, async_mode=True)
 
 
 class TestEngineWrapperContract:
