@@ -9,10 +9,6 @@ oblivious with momentum" ablation point between DP-DPSGD and PDSL.
 
 from __future__ import annotations
 
-from typing import List
-
-import numpy as np
-
 from repro.core.base import DecentralizedAlgorithm
 
 __all__ = ["DMSGD"]
@@ -23,39 +19,7 @@ class DMSGD(DecentralizedAlgorithm):
 
     name = "DMSGD"
 
-    def _step_loop(self, round_index: int) -> None:
-        gamma = self.config.learning_rate
-        alpha = self.config.momentum
-        communicate = self.gossip_now(round_index)
-        batches = self.draw_batches()
-
-        provisional: List[np.ndarray] = []
-        shared: List[np.ndarray] = []
-        for agent in range(self.num_agents):
-            if not self.is_active(agent):
-                # Inactive agents take no step and their momentum does not
-                # decay; the round topology's identity row keeps their model.
-                provisional.append(self.params[agent].copy())
-                shared.append(provisional[agent])
-                continue
-            gradient = self.local_gradient(agent, self.params[agent], batches[agent])
-            perturbed = self.privatize(agent, gradient)
-            self.momenta[agent] = alpha * self.momenta[agent] + perturbed
-            provisional.append(self.params[agent] - gamma * self.momenta[agent])
-            if communicate:
-                shared.append(self.gossip_broadcast(agent, "model", provisional[agent]))
-
-        if not communicate:
-            # Off-interval round: purely local steps, nothing on the wire.
-            self.params = provisional
-            return
-
-        self.params = [
-            self.mix_received(agent, shared[agent], self.gossip_receive(agent, "model"))
-            for agent in range(self.num_agents)
-        ]
-
-    def _step_vectorized(self, round_index: int) -> None:
+    def _step(self, round_index: int) -> None:
         """The round streamed over row blocks.
 
         Each row block draws its agents' batches, evaluates + privatizes
@@ -100,5 +64,5 @@ class DMSGD(DecentralizedAlgorithm):
         if shared is None:
             return
         values, wire_bytes = self.gossip_wire_cost()
-        self.record_fleet_exchange("model", values, wire_bytes)
-        self._mix_into(shared, self.state)
+        delivered = self.record_fleet_exchange("model", values, wire_bytes)
+        self._mix_into(shared, self.state, self.mixing.without_edges(delivered))

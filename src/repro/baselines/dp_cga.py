@@ -18,7 +18,7 @@ has at most a couple of dozen variables).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List
 
 import numpy as np
 from scipy.optimize import minimize
@@ -82,87 +82,21 @@ class DPCGA(DecentralizedAlgorithm):
         super().__init__(model, topology, shards, config, validation=validation)
         self.config: CGAConfig = config
 
-    def _step_loop(self, round_index: int) -> None:
-        gamma = self.config.learning_rate
-        alpha = self.config.momentum
-        batches = self.draw_batches()
-
-        # Broadcast models so neighbours can compute cross-gradients.
-        for agent in range(self.num_agents):
-            neighbors = self.topology.neighbors(agent, include_self=False)
-            self.network.broadcast(agent, neighbors, "model", self.params[agent].copy())
-
-        # Compute DP-perturbed cross-gradients of each received model on local data
-        # and send them back to the model's owner.  Inactive agents received
-        # no models (the round topology gives them no neighbours) and draw
-        # neither batches nor noise.
-        own_perturbed: List[Optional[np.ndarray]] = []
-        for agent in range(self.num_agents):
-            if not self.is_active(agent):
-                own_perturbed.append(None)
-                continue
-            local_grad = self.local_gradient(agent, self.params[agent], batches[agent])
-            own_perturbed.append(self.privatize(agent, local_grad))
-            received_models = self.network.receive_by_sender(agent, "model")
-            for neighbor, neighbor_params in received_models.items():
-                cross = self.local_gradient(agent, neighbor_params, batches[agent])
-                self.network.send(agent, neighbor, "cross_grad", self.privatize(agent, cross))
-
-        # Aggregate the returned cross-gradients with the min-norm QP, take a
-        # momentum step, and share the provisional model for gossip averaging.
-        # As in PDSL, the gradient exchanges above stay full precision; only
-        # the model gossip goes through the codec and the interval.
-        communicate = self.gossip_now(round_index)
-        provisional: List[np.ndarray] = []
-        shared: List[np.ndarray] = []
-        for agent in range(self.num_agents):
-            if not self.is_active(agent):
-                provisional.append(self.params[agent].copy())
-                shared.append(provisional[agent])
-                continue
-            returned: Dict[int, np.ndarray] = self.network.receive_by_sender(agent, "cross_grad")
-            returned[agent] = own_perturbed[agent]
-            ordered = [returned[j] for j in sorted(returned)]
-            lam = min_norm_combination(ordered)
-            combined = np.zeros(self.dimension, dtype=np.float64)
-            for weight, grad in zip(lam, ordered):
-                combined += weight * grad
-            self.momenta[agent] = alpha * self.momenta[agent] + combined
-            provisional.append(self.params[agent] - gamma * self.momenta[agent])
-            if communicate:
-                shared.append(self.gossip_broadcast(agent, "mix", provisional[agent]))
-
-        if not communicate:
-            # Off-interval round: keep the local update, skip the gossip.
-            self.params = provisional
-            return
-
-        # Gossip-average the provisional models.
-        self.params = [
-            self.mix_received(agent, shared[agent], self.gossip_receive(agent, "mix"))
-            for agent in range(self.num_agents)
-        ]
-
-    def _step_vectorized(self, round_index: int) -> None:
+    def _step(self, round_index: int) -> None:
         gamma = self.config.learning_rate
         alpha = self.config.momentum
 
-        # Local gradients, privatized in agent order (first draw per agent,
-        # matching the loop backend's per-agent noise streams), evaluated
-        # block by block into a reusable scratch; cross-gradients below
-        # stream through evaluator-aligned chunks inside
-        # fleet_cross_gradients.
+        # Local gradients, privatized in agent order (first draw per agent),
+        # evaluated block by block into a reusable scratch; cross-gradients
+        # below stream through evaluator-aligned chunks inside
+        # fleet_cross_gradients.  Models go out to every neighbour and the
+        # cross-gradients (agent i's data, agent j's model) come back.
         batches, own_perturbed = self._local_perturbed_gradients()
-        self.record_fleet_exchange("model", self.dimension)
-
-        # Cross-gradients for every directed pair (evaluator i, model owner j):
-        # agent i's data, agent j's model.
-        cross_perturbed, pair_rows = self.fleet_cross_gradients(batches)
-        self.record_fleet_exchange("cross_grad", self.dimension)
+        cross_perturbed, pair_rows = self._cross_gradient_exchange(batches)
 
         # Min-norm QP per agent over the returned cross-gradients (sorted by
-        # contributor id, self included, as in the loop backend).  Inactive
-        # agents run no QP and keep their momentum and model frozen.
+        # contributor id, self included).  Inactive agents run no QP and
+        # keep their momentum and model frozen.
         combined = np.zeros_like(self.state)
         for agent in self.active_agents:
             contributors = self.topology.neighbors(agent, include_self=True)
@@ -171,6 +105,7 @@ class DPCGA(DecentralizedAlgorithm):
                 if j == agent
                 else cross_perturbed[pair_rows[(j, agent)]]
                 for j in contributors
+                if j == agent or (j, agent) in pair_rows
             ]
             lam = min_norm_combination(ordered)
             acc = np.zeros(self.dimension, dtype=np.float64)
@@ -189,5 +124,5 @@ class DPCGA(DecentralizedAlgorithm):
             return
         shared = self.compress_gossip_rows("mix", provisional)
         values, wire_bytes = self.gossip_wire_cost()
-        self.record_fleet_exchange("mix", values, wire_bytes)
-        self.state = self.mix_rows(shared)
+        delivered = self.record_fleet_exchange("mix", values, wire_bytes)
+        self.state = self.mix_rows(shared, self.mixing.without_edges(delivered))

@@ -18,11 +18,9 @@ Per communication round each agent:
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 import numpy as np
 
-from repro.core.base import AgentRows, DecentralizedAlgorithm
+from repro.core.base import DecentralizedAlgorithm
 from repro.core.config import NetFleetConfig
 from repro.privacy.mechanisms import clip_rows_by_l2_norm
 
@@ -45,8 +43,8 @@ class DPNetFleet(DecentralizedAlgorithm):
         # the previous local gradient used in the recursive correction, one
         # row per agent like the base class's parameter state.  Under
         # ``storage="memmap"`` both live in memmap-backed FleetStates
-        # (always float64, their canonical dtype on the vectorized path) and
-        # assignments stream into them block by block.
+        # (always float64, their canonical dtype) and assignments stream
+        # into them block by block.
         self._tracking_state: np.ndarray = self._alloc_fleet_matrix(
             "tracking_state", dtype=np.float64
         )
@@ -79,24 +77,6 @@ class DPNetFleet(DecentralizedAlgorithm):
         else:
             self._previous_gradient_state = np.asarray(value)
 
-    @property
-    def tracking(self) -> AgentRows:
-        """Per-agent tracking variables as a list-like view."""
-        return AgentRows(self.tracking_state)
-
-    @tracking.setter
-    def tracking(self, value) -> None:
-        self.tracking_state = self._as_state_matrix(value)
-
-    @property
-    def previous_gradient(self) -> AgentRows:
-        """Per-agent previous local gradients as a list-like view."""
-        return AgentRows(self.previous_gradient_state)
-
-    @previous_gradient.setter
-    def previous_gradient(self, value) -> None:
-        self.previous_gradient_state = self._as_state_matrix(value)
-
     def _extra_state(self, copy: bool = True):
         return {
             "tracking_state": (
@@ -120,99 +100,17 @@ class DPNetFleet(DecentralizedAlgorithm):
                 payload["previous_gradient_state"]
             )
         else:
-            self.tracking_state = self._as_state_matrix(payload["tracking_state"])
+            # Always float64, whatever the fleet-state dtype: a float32 run
+            # must not resume with its tracking rounded to single precision.
+            self.tracking_state = self._as_state_matrix(
+                payload["tracking_state"], np.float64
+            )
             self.previous_gradient_state = self._as_state_matrix(
-                payload["previous_gradient_state"]
+                payload["previous_gradient_state"], np.float64
             )
         self._initialized = bool(payload["initialized"])
 
-    def _perturbed_local_gradient(self, agent: int, params: np.ndarray) -> np.ndarray:
-        """A fresh clipped + noised local gradient at the given parameters."""
-        batch = self.samplers[agent].next_batch()
-        gradient = self.local_gradient(agent, params, batch)
-        return self.privatize(agent, gradient)
-
-    def _step_loop(self, round_index: int) -> None:
-        gamma = self.config.learning_rate
-
-        # Lazy initialisation of the tracking variable with the first
-        # gradients.  Agents inactive in the very first round start from a
-        # zero tracking estimate instead (they draw no batch and no noise);
-        # it bootstraps through the recursive correction once they rejoin.
-        if not self._initialized:
-            for agent in range(self.num_agents):
-                if not self.is_active(agent):
-                    continue
-                grad = self._perturbed_local_gradient(agent, self.params[agent])
-                self.tracking[agent] = grad
-                self.previous_gradient[agent] = grad
-            self._initialized = True
-
-        # 1. One DP gradient release per round, reused by every local step.
-        #    Each round, agent i publishes a single clipped-and-perturbed local
-        #    gradient; the recursive correction and the local steps are
-        #    post-processing of that release (plus the already-released
-        #    tracking variables), so the per-round privacy cost matches the
-        #    other baselines.
-        local_params: List[np.ndarray] = []
-        for agent in range(self.num_agents):
-            if not self.is_active(agent):
-                # Inactive agents take no local steps this round.
-                local_params.append(self.params[agent].copy())
-                continue
-            # Gradient-tracking descent: the update direction is the tracking
-            # variable y_i (the running estimate of the network-average
-            # gradient), re-clipped so accumulated noise cannot inflate the
-            # step size.
-            corrected = self.clip(self.tracking[agent])
-            params = self.params[agent].copy()
-            for _ in range(self.config.local_steps):
-                params = params - gamma * corrected
-            local_params.append(params)
-
-        # 2. Exchange models and tracking variables with neighbours.  The
-        #    tracking variable is a post-processing of already clipped-and-
-        #    perturbed gradients, so no additional noise is required for DP.
-        #    Off-interval rounds exchange nothing: each agent keeps its own
-        #    local model and tracking estimate, and the recursive correction
-        #    below still refreshes the gradient difference.
-        communicate = self.gossip_now(round_index)
-        shared: List[Tuple[np.ndarray, np.ndarray]] = []
-        if communicate:
-            for agent in range(self.num_agents):
-                shared.append(
-                    self.gossip_broadcast(
-                        agent, "state", (local_params[agent], self.tracking[agent])
-                    )
-                )
-
-        # 3. Gossip averaging + recursive gradient correction
-        #    y_i <- sum_j w_ij y_j + (g_i^{t} - g_i^{t-1}).
-        new_params: List[np.ndarray] = []
-        new_tracking: List[np.ndarray] = []
-        for agent in range(self.num_agents):
-            if communicate:
-                params_acc, tracking_acc = self.mix_received(
-                    agent, shared[agent], self.gossip_receive(agent, "state")
-                )
-            else:
-                params_acc = local_params[agent].copy()
-                tracking_acc = self.tracking[agent].copy()
-            # Recursive correction with a fresh DP gradient at the mixed model:
-            # y_i <- sum_j w_ij y_j + (g_i^{t} - g_i^{t-1}).  Inactive agents
-            # draw no fresh gradient; their accumulators already equal their
-            # frozen model and tracking (identity mixing row).
-            if self.is_active(agent):
-                fresh = self._perturbed_local_gradient(agent, params_acc)
-                tracking_acc = tracking_acc + fresh - self.previous_gradient[agent]
-                self.previous_gradient[agent] = fresh
-            new_params.append(params_acc)
-            new_tracking.append(tracking_acc)
-
-        self.params = new_params
-        self.tracking = new_tracking
-
-    def _step_vectorized(self, round_index: int) -> None:
+    def _step(self, round_index: int) -> None:
         """The round streamed over row blocks.
 
         All four fleet matrices (state, tracking, previous gradient, the
@@ -221,7 +119,9 @@ class DPNetFleet(DecentralizedAlgorithm):
         and the update phase computes each block's new tracking value
         before overwriting it, so the aliasing is safe under any block
         order.  Agents inactive in the first round start from a zero
-        tracking estimate, as in the loop engine.
+        tracking estimate; it bootstraps through the recursive correction
+        once they rejoin.  The ``(model, tracking)`` pair shares one
+        delivery mask per exchange.
         """
         gamma = self.config.learning_rate
         clip = self.config.clip_threshold
@@ -240,7 +140,9 @@ class DPNetFleet(DecentralizedAlgorithm):
             self._scheduler.map(init_block, blocks, serial=serial)
             self._initialized = True
 
-        # 1. Local steps along the re-clipped tracking direction.
+        # 1. Local steps along the re-clipped tracking direction: one DP
+        #    gradient release per round, reused by every local step (the
+        #    tracking variable is post-processing of released gradients).
         local = self._round_scratch("netfleet.local", np.float64)
 
         def local_block(start: int, stop: int) -> None:
@@ -261,9 +163,11 @@ class DPNetFleet(DecentralizedAlgorithm):
             mixed_params = self._round_scratch("netfleet.mixed0", np.float64)
             mixed_tracking = self._round_scratch("netfleet.mixed1", np.float64)
             if self._compression_state is None:
-                self.record_fleet_exchange("state", values, wire_bytes)
-                self._mix_into(local, mixed_params)
-                self._mix_into(tracking, mixed_tracking)
+                operator = self.mixing.without_edges(
+                    self.record_fleet_exchange("state", values, wire_bytes)
+                )
+                self._mix_into(local, mixed_params, operator)
+                self._mix_into(tracking, mixed_tracking, operator)
             else:
                 params_shared = self._round_scratch("netfleet.shared0", np.float64)
                 tracking_shared = self._round_scratch("netfleet.shared1", np.float64)
@@ -278,9 +182,11 @@ class DPNetFleet(DecentralizedAlgorithm):
                     )
 
                 self._scheduler.map(encode, blocks)
-                self.record_fleet_exchange("state", values, wire_bytes)
-                self._mix_into(params_shared, mixed_params)
-                self._mix_into(tracking_shared, mixed_tracking)
+                operator = self.mixing.without_edges(
+                    self.record_fleet_exchange("state", values, wire_bytes)
+                )
+                self._mix_into(params_shared, mixed_params, operator)
+                self._mix_into(tracking_shared, mixed_tracking, operator)
         else:
             mixed_params = local
             mixed_tracking = tracking

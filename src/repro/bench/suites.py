@@ -3,7 +3,6 @@
 Each suite packages one hot path of the system behind the
 :class:`~repro.bench.registry.Benchmark` lifecycle:
 
-* ``engine/round`` — loop vs vectorized engine, seconds per DP-DPSGD round;
 * ``engine/round-streamed`` — one full streamed round (blocked gradients,
   noise, codec, gossip; memmap state) across fleet sizes up to a million
   agents, memory-guarded, small-block vs default-block bit-identity
@@ -55,7 +54,6 @@ from repro.bench.timer import peak_rss_bytes
 __all__ = [
     "SMOKE_SCALE",
     "apply_scale",
-    "EngineRoundSuite",
     "StreamedRoundSuite",
     "AsyncRoundSuite",
     "SparseGossipSuite",
@@ -74,8 +72,6 @@ __all__ = [
 #: code path in seconds, and every floor stays disarmed (the shared guard
 #: sees the reduced scale).  Applied with :func:`apply_scale`.
 SMOKE_SCALE: Dict[str, str] = {
-    "REPRO_BENCH_ENGINE_AGENTS": "16,64",
-    "REPRO_BENCH_ENGINE_ROUNDS": "1",
     "REPRO_BENCH_ROUND_AGENTS": "64,256",
     "REPRO_BENCH_ROUND_WORKERS": "2",
     "REPRO_BENCH_ROUND_BATCH": "8",
@@ -134,79 +130,35 @@ def _timed(apply, *args, rounds: int = 1, warm: bool = True) -> float:
 
 
 # ---------------------------------------------------------------------------
-# engine/round
+# Shared fixtures
 # ---------------------------------------------------------------------------
-@benchmark
-class EngineRoundSuite(Benchmark):
-    """Loop vs vectorized engine: seconds per DP-DPSGD communication round."""
+def _dpsgd_fleet(num_agents: int):
+    """One DP-DPSGD instance on the synthetic classification task (complete graph)."""
+    from repro.baselines import DPDPSGD
+    from repro.core.config import AlgorithmConfig
+    from repro.data.partition import partition_iid
+    from repro.data.synthetic import make_classification_dataset
+    from repro.nn.zoo import make_linear_classifier
+    from repro.topology.graphs import fully_connected_graph
 
-    name = "engine/round"
-    description = "loop vs vectorized engine, seconds per DP-DPSGD round"
-    floor = FloorSpec(
-        metric="speedup", minimum=5.0, min_cpus=2, min_baseline_seconds=0.2
+    data = make_classification_dataset(
+        num_samples=max(2048, 8 * num_agents),
+        num_features=16,
+        num_classes=4,
+        cluster_std=1.0,
+        seed=0,
     )
-    default_repeats = 1
-    default_warmup = False
-    FULL_SCALE_AGENTS = 256
-
-    def __init__(self) -> None:
-        self.agent_counts = _env_ints("REPRO_BENCH_ENGINE_AGENTS", "16,64,256")
-        self.rounds = _env_int("REPRO_BENCH_ENGINE_ROUNDS", 2)
-
-    def params(self) -> Dict[str, object]:
-        return {"agents": self.agent_counts, "rounds": self.rounds}
-
-    @staticmethod
-    def build(num_agents: int, backend: str):
-        """One DP-DPSGD instance on the synthetic classification task."""
-        from repro.baselines import DPDPSGD
-        from repro.core.config import AlgorithmConfig
-        from repro.data.partition import partition_iid
-        from repro.data.synthetic import make_classification_dataset
-        from repro.nn.zoo import make_linear_classifier
-        from repro.topology.graphs import fully_connected_graph
-
-        data = make_classification_dataset(
-            num_samples=max(2048, 8 * num_agents),
-            num_features=16,
-            num_classes=4,
-            cluster_std=1.0,
-            seed=0,
-        )
-        shards = partition_iid(data, num_agents, np.random.default_rng(0)).shards
-        topology = fully_connected_graph(num_agents)
-        model = make_linear_classifier(16, 4, seed=0)
-        config = AlgorithmConfig(
-            learning_rate=0.05,
-            sigma=0.5,
-            clip_threshold=1.0,
-            batch_size=8,
-            seed=0,
-            backend=backend,
-        )
-        return DPDPSGD(model, topology, shards, config)
-
-    def run(self) -> Dict[str, float]:
-        metrics: Dict[str, float] = {}
-        for num_agents in self.agent_counts:
-            loop_s = _timed(
-                self.build(num_agents, "loop").run_round, rounds=self.rounds
-            )
-            vec_s = _timed(
-                self.build(num_agents, "vectorized").run_round, rounds=self.rounds
-            )
-            metrics[f"loop_s@{num_agents}"] = loop_s
-            metrics[f"vectorized_s@{num_agents}"] = vec_s
-            metrics[f"speedup@{num_agents}"] = loop_s / vec_s
-        largest = max(self.agent_counts)
-        metrics["speedup"] = metrics[f"speedup@{largest}"]
-        return metrics
-
-    def floor_context(self, metrics: Dict[str, float]) -> Tuple[bool, Optional[float]]:
-        largest = max(self.agent_counts)
-        baseline = metrics.get(f"loop_s@{largest}")
-        total = None if baseline is None else baseline * self.rounds
-        return largest >= self.FULL_SCALE_AGENTS, total
+    shards = partition_iid(data, num_agents, np.random.default_rng(0)).shards
+    topology = fully_connected_graph(num_agents)
+    model = make_linear_classifier(16, 4, seed=0)
+    config = AlgorithmConfig(
+        learning_rate=0.05,
+        sigma=0.5,
+        clip_threshold=1.0,
+        batch_size=8,
+        seed=0,
+    )
+    return DPDPSGD(model, topology, shards, config)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +179,7 @@ class AsyncRoundSuite(Benchmark):
       synchronous round (the cost of simulating time at all).
 
     Correctness is embedded: before timing, a small unit-trace barrier run
-    is checked bit-identical to the bare vectorized engine.
+    is checked bit-identical to the bare round engine.
     """
 
     name = "engine/async-round"
@@ -273,7 +225,6 @@ class AsyncRoundSuite(Benchmark):
             clip_threshold=1.0,
             batch_size=4,
             seed=0,
-            backend="vectorized",
         )
         algorithm = DPDPSGD(model, ring_graph(num_agents), shards, config)
         if wrap == "bare":
@@ -499,7 +450,6 @@ class StreamedRoundSuite(Benchmark):
             clip_threshold=1.0,
             batch_size=self.batch_size,
             seed=0,
-            backend="vectorized",
             **overrides,
         )
         model = make_linear_classifier(self.NUM_FEATURES, self.NUM_CLASSES, seed=0)
@@ -693,7 +643,6 @@ class CompressedGossipSuite(Benchmark):
             clip_threshold=1.0,
             batch_size=8,
             seed=0,
-            backend="vectorized",
             compression=compression,
         )
         return DPDPSGD(model, topology, shards, config)
@@ -1097,7 +1046,7 @@ class CheckpointRoundtripSuite(Benchmark):
         return {"agents": self.agents, "trained_rounds": self.trained_rounds}
 
     def setup(self) -> None:
-        self._algorithm = EngineRoundSuite.build(self.agents, "vectorized")
+        self._algorithm = _dpsgd_fleet(self.agents)
         for _ in range(self.trained_rounds):
             self._algorithm.run_round()
         self._dir = tempfile.mkdtemp(prefix="repro-bench-ckpt-")

@@ -22,12 +22,11 @@ Three pieces compose:
   the algorithm's ``state_dict``.
 
 The identity codec is guaranteed bit-identical to the historical
-uncompressed path on both engines.
+uncompressed path.
 """
 
 from repro.compression.codecs import (
     Codec,
-    CompressedPayload,
     FP16Codec,
     IdentityCodec,
     Int8Codec,
@@ -56,7 +55,6 @@ __all__ = [
     "Int8Codec",
     "TopKCodec",
     "RandomKCodec",
-    "CompressedPayload",
     "make_codec",
     "CompressionState",
 ]

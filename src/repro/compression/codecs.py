@@ -5,14 +5,14 @@ simulation keeps everything in float64 end to end — what a codec returns is
 the *decoded* value, i.e. exactly what the receiver would reconstruct after
 the encode/transmit/decode round trip — while :meth:`Codec.wire_cost`
 reports what the encoded message would have cost on a real wire.  This keeps
-the numerics faithful (both engines mix the reconstructed values) and lets
+the numerics faithful (the round mixes the reconstructed values) and lets
 :class:`~repro.simulation.network.Network` account compressed byte traffic
 without ever materialising byte buffers.
 
 Codecs operate row-wise on ``(M, dimension)`` matrices: every operation is
 per-row/elementwise, so compressing one agent's vector through a
-single-row matrix (as the loop engine does) is bit-identical to compressing
-it as one row of the whole fleet (as the vectorized engine does).
+single-row matrix is bit-identical to compressing it as one row of the
+whole fleet (the round engine's block-wise calls).
 
 Four lossy codecs are provided, mirroring the standard communication-
 efficient-SGD toolbox (and Bagua's low-precision decentralized algorithm):
@@ -31,8 +31,7 @@ float64 wire cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,30 +42,12 @@ __all__ = [
     "Int8Codec",
     "TopKCodec",
     "RandomKCodec",
-    "CompressedPayload",
     "make_codec",
 ]
 
 #: Wire cost of one kept coordinate in the sparse codecs: a float64 value
 #: plus an int32 index.
 _SPARSE_BYTES_PER_COORD = 12
-
-
-@dataclass(frozen=True)
-class CompressedPayload:
-    """A gossip message as it crosses the simulated wire.
-
-    ``values`` holds the *decoded* payload (an array, or a tuple of arrays
-    for multi-channel messages) that the receiver reconstructs;
-    ``num_values`` and ``wire_bytes`` are what the encoded form would have
-    cost — the numbers :class:`~repro.simulation.network.Network` records
-    instead of the dense float64 size.
-    """
-
-    values: Any
-    num_values: int
-    wire_bytes: int
-    codec: str
 
 
 class Codec:
@@ -187,7 +168,7 @@ class RandomKCodec(Codec):
 
     Each row draws its coordinate subset from that agent's dedicated
     compression generator, so the selection is reproducible and identical
-    under both engines.  Same wire format as top-k.
+    for every block layout.  Same wire format as top-k.
     """
 
     name = "randomk"

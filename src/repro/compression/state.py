@@ -18,9 +18,10 @@ sum of everything ever transmitted plus the current residual telescopes to
 the sum of everything ever offered — compression introduces no systematic
 drift.
 
-Both engines call into the same row-wise codec kernels —
-:meth:`compress_rows` on the whole fleet matrix, :meth:`compress_row` on a
-single agent's vector — and the two paths are bit-identical per agent.
+The round engine compresses row blocks (:meth:`compress_block`);
+:meth:`compress_row` runs one agent's vector through the same row-wise codec
+kernel and is bit-identical per agent, which makes it the per-agent
+reference the tests compare the blocked path against.
 """
 
 from __future__ import annotations
@@ -95,9 +96,7 @@ class CompressionState:
 
         Inactive rows pass through untouched: they transmit nothing, so
         their residuals stay put and their sparsifier streams are not
-        consumed — exactly like the loop engine, where an inactive agent
-        never reaches its broadcast.  The whole fleet is one block of
-        :meth:`compress_block`.
+        consumed.  The whole fleet is one block of :meth:`compress_block`.
         """
         return self.compress_block(channel, matrix, 0, self.num_agents, active_mask)
 
@@ -174,10 +173,10 @@ class CompressionState:
         return out
 
     def compress_row(self, channel: str, agent: int, vector: np.ndarray) -> np.ndarray:
-        """Decoded value of one agent's vector (loop-engine entry point).
+        """Decoded value of one agent's vector (the per-agent reference).
 
         Routes through the same row-wise kernel as :meth:`compress_rows`, so
-        the two engines produce bit-identical decoded values per agent.
+        both produce bit-identical decoded values per agent.
         """
         vector = np.asarray(vector, dtype=np.float64)
         residual = self._residual_for(channel)

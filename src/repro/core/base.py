@@ -13,32 +13,34 @@ The communication topology is consulted *per round*: a
 :class:`~repro.topology.graphs.Topology`, wrapped in a bit-identical static
 schedule) provides each round's graph, mixing operator and active-agent
 mask through :meth:`DecentralizedAlgorithm._begin_round` — agents that sit
-a round out (churn, stragglers) draw no randomness and keep frozen rows on
-both engines.
+a round out (churn, stragglers) draw no randomness and keep frozen rows.
 
-Two execution engines share that state (selected by
-``AlgorithmConfig.backend``):
+One engine executes every round: a streamed pipeline over
+``(block_rows, d)`` row blocks of the fleet — batches, stacked
+forward/backward passes (:meth:`fleet_gradients`), row-wise clip + Gaussian
+noise (:meth:`privatize_rows`, one batched draw per owner agent), codec and
+the gossip product ``W @ X`` (dispatched through the topology's
+:class:`~repro.topology.mixing.MixingOperator`: O(M^2 d) dense or O(nnz d)
+CSR, bit-identical either way).  ``AlgorithmConfig.block_rows`` only sizes
+the blocks (``None`` picks ~32 MiB per block, i.e. one block whenever the
+float64 fleet matrix fits in 32 MiB); every block size gives the same bits.
+Every random stream is per agent (sampler, noise mechanism, codec,
+``agent_rngs``) and each agent consumes its own in a fixed order, so a
+per-agent message-passing reference of the same round follows the same
+trajectory for a fixed seed (up to floating-point associativity).
 
-* the **loop** backend steps agents one at a time and routes every exchange
-  through the :class:`Network` mailbox — faithful to a real deployment,
-  message by message, and required for fault injection;
-* the **vectorized** backend performs the same round as one streamed
-  pipeline over ``(block_rows, d)`` row blocks of the fleet — batches,
-  stacked forward/backward passes (:meth:`fleet_gradients`), row-wise
-  clip + Gaussian noise (:meth:`privatize_rows`, one batched draw per owner
-  agent), codec and the gossip product ``W @ X`` (dispatched through the
-  topology's :class:`~repro.topology.mixing.MixingOperator`: O(M^2 d) dense
-  or O(nnz d) CSR, bit-identical either way).  ``AlgorithmConfig.block_rows``
-  only sizes the blocks (``None`` picks ~32 MiB per block, i.e. one block
-  whenever the float64 fleet matrix fits in 32 MiB); every block size
-  gives the same bits.
-  Per-agent random streams are consumed in the same order as the loop
-  backend, so the two engines produce the same trajectory for a fixed seed
-  (up to floating-point associativity).
+Message loss (``Network.drop_probability > 0``) is applied per exchange:
+:meth:`record_fleet_exchange` accounts the exchange's messages and draws a
+delivery mask over the round's directed edges, and gossip then mixes with
+the masked operator
+(:meth:`~repro.topology.mixing.MixingOperator.without_edges`), whose
+dropped weights sit on the receiver's diagonal — a lost message never
+shrinks a model.  Models
+with dropout layers run on the same engine; their forward passes draw from
+the layers' own generators, which :meth:`state_dict` captures.
 
-Subclasses implement :meth:`_step_loop` and :meth:`_step_vectorized`, each
-executing one communication round for all agents; :meth:`step` dispatches
-on the configured backend.
+Subclasses implement :meth:`_step`, one communication round for all
+agents; :meth:`step` pulls the round's topology and calls it.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union, overload
 
 import numpy as np
 
-from repro.compression.codecs import CompressedPayload, make_codec
+from repro.compression.codecs import make_codec
 from repro.compression.config import CompressionConfig
 from repro.compression.state import CompressionState
 from repro.core.config import AlgorithmConfig
@@ -57,12 +59,12 @@ from repro.nn.batched import StackedSequential, supports_stacked
 from repro.nn.layers import Dropout
 from repro.nn.model import Model
 from repro.privacy.accountant import PrivacyAccountant
-from repro.privacy.mechanisms import GaussianMechanism, clip_by_l2_norm, clip_rows_by_l2_norm
+from repro.privacy.mechanisms import GaussianMechanism, clip_rows_by_l2_norm
 from repro.sharding import FleetState, RoundScheduler, resolve_block_rows, row_blocks
 from repro.simulation.metrics import consensus_distance
 from repro.simulation.network import Network
 from repro.topology.graphs import Topology
-from repro.topology.mixing import validate_mixing_matrix
+from repro.topology.mixing import MixingOperator, validate_mixing_matrix
 from repro.topology.schedule import (
     ShiftOneSchedule,
     StaticSchedule,
@@ -78,7 +80,7 @@ Batch = Tuple[np.ndarray, np.ndarray]
 class AgentRows:
     """List-like view over the rows of an ``(num_agents, dimension)`` fleet matrix.
 
-    The vectorized engine stores all agents' vectors in one contiguous
+    The round engine stores all agents' vectors in one contiguous
     matrix; this adapter preserves the historical per-agent list API
     (``algorithm.params[i]``, iteration, item assignment) without copying.
     Reads return row *views* into the underlying matrix; writes
@@ -179,14 +181,18 @@ class DecentralizedAlgorithm:
         One local dataset per agent (e.g. from
         :func:`repro.data.partition.partition_dirichlet`).
     config:
-        Optimisation / DP hyper-parameters, including the execution
-        ``backend`` (``"loop"`` or ``"vectorized"``).
+        Optimisation / DP hyper-parameters and the round's precision and
+        blocking knobs.
     validation:
         Optional shared validation set ``Q``; required by PDSL, unused by the
         baselines.
     """
 
     name: str = "decentralized"
+
+    #: The round engine recorded in ``TrainingHistory.metadata["backend"]``
+    #: (the event-driven wrapper reports ``"event-async"`` in async mode).
+    backend: str = "vectorized"
 
     #: Logical payload streams in one gossip message (2 for algorithms that
     #: transmit ``(momentum, model)`` or ``(model, tracking)`` pairs).  The
@@ -252,9 +258,8 @@ class DecentralizedAlgorithm:
         self.dimension = model.num_params
         self.sigma = config.resolve_sigma()
         # Precision and sharding knobs.  ``_dtype`` is the single source of
-        # truth for the fleet-state element type (every state matrix, every
-        # state assignment and the loop engine's row writes funnel through
-        # it, so the two engines cannot drift to different dtypes);
+        # truth for the fleet-state element type (every state matrix and
+        # every state assignment funnel through it);
         # ``_grad_dtype`` is its counterpart for gradient/loss buffers, which
         # stay double precision in every mode because the model kernels are
         # float64.
@@ -334,17 +339,15 @@ class DecentralizedAlgorithm:
         self._stacked: Optional[StackedSequential] = (
             StackedSequential(model) if supports_stacked(model) else None
         )
-        # Models with stochastic layers draw from one RNG stream shared
-        # across every forward pass, so re-grouping gradient evaluations
-        # (as the vectorized engine does for cross-gradients) would change
-        # the draws; such models run on the loop engine to stay reproducible.
-        # Models whose layer structure cannot be inspected are treated as
-        # stochastic — the conservative choice that preserves the documented
-        # backend-equivalence guarantee for arbitrary Model subclasses.
-        layers = getattr(model, "layers", None)
-        self._model_is_stochastic = layers is None or any(
-            isinstance(layer, Dropout) and layer.rate > 0.0 for layer in layers
-        )
+        # Dropout layers draw their masks from their own generators, one
+        # draw per forward pass in the round's fixed evaluation order (such
+        # models are not stackable, so their gradients run serially).  The
+        # generators are resumable state like every other stream.
+        self._model_rngs: List[np.random.Generator] = [
+            layer.rng
+            for layer in getattr(model, "layers", ())
+            if isinstance(layer, Dropout)
+        ]
         self.samplers: List[BatchSampler] = [
             BatchSampler(
                 shards[i], config.batch_size, np.random.default_rng(int(child_seeds[i]))
@@ -372,15 +375,23 @@ class DecentralizedAlgorithm:
     # ------------------------------------------------------------------
     # Fleet state accessors (list-compatible views over the state matrix)
     # ------------------------------------------------------------------
-    def _as_state_matrix(self, value: Sequence[np.ndarray]) -> np.ndarray:
+    def _as_state_matrix(
+        self, value: Sequence[np.ndarray], dtype: Optional[np.dtype] = None
+    ) -> np.ndarray:
+        """A fresh ``(num_agents, dimension)`` copy of ``value`` in ``dtype``.
+
+        ``dtype`` defaults to the fleet-state dtype; matrices with their own
+        canonical dtype (DP-NET-FLEET's float64 tracking) pass it.
+        """
+        dtype = self._dtype if dtype is None else dtype
         if isinstance(value, np.ndarray) and value.ndim == 2:
             # Fast path for matrix payloads (checkpoints, fleet-scale
             # assignments): a single cast-copy instead of materialising N
             # Python row objects.  Always a fresh writable array — callers
             # rely on the result never aliasing their input.
-            matrix = np.array(value, dtype=self._dtype)
+            matrix = np.array(value, dtype=dtype)
         else:
-            matrix = np.array(list(value), dtype=self._dtype)
+            matrix = np.array(list(value), dtype=dtype)
         if matrix.shape != (self.num_agents, self.dimension):
             raise ValueError(
                 f"fleet state must have shape ({self.num_agents}, {self.dimension}), "
@@ -415,7 +426,7 @@ class DecentralizedAlgorithm:
     def state(self, value: np.ndarray) -> None:
         # Every whole-fleet assignment funnels through the configured state
         # dtype: an update computed in float64 (gradients always are) is
-        # rounded into float32 state here, under either engine.  Pinned
+        # rounded into float32 state here.  Pinned
         # (memmap) storage streams the assignment into the backing store
         # block by block instead of rebinding.
         if getattr(self, "_pinned", False):
@@ -454,40 +465,12 @@ class DecentralizedAlgorithm:
         self.momentum_state = self._as_state_matrix(value)
 
     # ------------------------------------------------------------------
-    # Core interface and backend dispatch
+    # Core interface
     # ------------------------------------------------------------------
-    @property
-    def backend(self) -> str:
-        """The engine that will execute the next round (after fallbacks)."""
-        if (
-            getattr(self.config, "backend", "loop") == "vectorized"
-            and self.loop_fallback_cause() is None
-        ):
-            return "vectorized"
-        return "loop"
-
-    def loop_fallback_cause(self) -> Optional[str]:
-        """Why the vectorized engine cannot run the next round (``None``: it can).
-
-        Message drops are per-message events; they only exist on the loop
-        path, so a lossy network forces the loop backend.  Stochastic models
-        (dropout) force it too: their shared forward-pass RNG would be
-        consumed in a different order by the re-grouped vectorized gradient
-        evaluations, breaking loop/vectorized trajectory equivalence.
-        """
-        if self.network.drop_probability > 0.0:
-            return f"drop probability {self.network.drop_probability} > 0"
-        if self._model_is_stochastic:
-            return "the model has dropout (or uninspectable) layers"
-        return None
-
     def step(self, round_index: int) -> None:
         """Execute one synchronous communication round for every agent."""
         self._begin_round(round_index)
-        if self.backend == "vectorized":
-            self._step_vectorized(round_index)
-        else:
-            self._step_loop(round_index)
+        self._step(round_index)
 
     def _begin_round(self, round_index: int) -> None:
         """Pull round ``round_index``'s topology and participation from the schedule.
@@ -513,10 +496,6 @@ class DecentralizedAlgorithm:
         self.network.set_active_mask(mask)
         self.pending_events.extend(self.schedule.events_at(round_index))
 
-    def is_active(self, agent: int) -> bool:
-        """Whether the agent participates in the current round."""
-        return bool(self.active_mask[agent])
-
     def consume_events(self) -> List[TopologyEvent]:
         """Drain the topology/churn events buffered since the last call."""
         events = self.pending_events
@@ -533,10 +512,9 @@ class DecentralizedAlgorithm:
         """Keep inactive agents' rows at ``current``; active rows take ``updated``.
 
         ``updated`` and ``current`` hold the rows of agents ``start:stop``
-        (default: the whole fleet).  The vectorized engine computes the
-        update for a block of rows and then pins the rows of agents that sat
-        the round out — matching the loop engine, which simply never touches
-        them.  With every agent active this returns ``updated`` unchanged.
+        (default: the whole fleet).  The round computes the update for a
+        block of rows and then pins the rows of agents that sat the round
+        out.  With every agent active this returns ``updated`` unchanged.
         """
         if self._all_active:
             return updated
@@ -545,7 +523,7 @@ class DecentralizedAlgorithm:
     # ------------------------------------------------------------------
     # Streamed round pipeline
     # ------------------------------------------------------------------
-    # The vectorized engine executes the *whole* round as a pipeline over
+    # The engine executes the *whole* round as a pipeline over
     # disjoint ``(_stream_rows, d)`` row blocks: each block draws its agents'
     # batches, evaluates gradients with the stacked passes, applies
     # clip+noise, updates momentum/state and stages its gossip payload —
@@ -612,13 +590,12 @@ class DecentralizedAlgorithm:
     ) -> np.ndarray:
         """Draw, evaluate and privatize one row block's local gradients.
 
-        The blocked twin of ``privatize_rows(fleet_gradients(state,
-        draw_batches()))``: agents ``start..stop`` draw their round batch
-        from their own samplers (inactive agents draw nothing and contribute
-        zero rows), gradients are evaluated at ``param_rows`` (default: the
+        Agents ``start..stop`` draw their round batch from their own
+        samplers (inactive agents draw nothing and contribute zero rows),
+        gradients are evaluated at ``param_rows`` (default: the
         corresponding state rows) with the stacked passes, and clip+noise
-        uses each row's own mechanism stream — all bit-identical to the
-        whole-fleet calls because every kernel involved is per-row and every
+        uses each row's own mechanism stream — bit-identical for every
+        block layout because every kernel involved is per-row and every
         stream is per-agent.
         """
         batches: List[Optional[Batch]] = [
@@ -687,24 +664,32 @@ class DecentralizedAlgorithm:
             return np.dtype(payload_dtype)
         return np.dtype(np.float64)
 
-    def _mix_into(self, matrix: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def _mix_into(
+        self,
+        matrix: np.ndarray,
+        out: np.ndarray,
+        operator: Optional[MixingOperator] = None,
+    ) -> np.ndarray:
         """The gossip product ``W @ matrix`` written into ``out``.
 
         Reproduces :meth:`mix_rows`'s dispatch (mixed-precision float32
         payloads use the float64-accumulating kernel) while writing blocks
         straight into ``out`` — which may be state itself, a pinned memmap,
-        or a scratch — through the block scheduler.  ``matrix`` is read
-        through a write-protected view: it is a pure input of the product,
-        so an aliasing bug raises instead of corrupting it mid-mix.
+        or a scratch — through the block scheduler.  ``operator`` defaults
+        to the round's ``W`` (pass ``self.mixing.without_edges(delivered)``
+        for a lossy exchange).  ``matrix`` is read through a write-protected view:
+        it is a pure input of the product, so an aliasing bug raises instead
+        of corrupting it mid-mix.
         """
+        operator = self.mixing if operator is None else operator
         source = np.asarray(matrix)
         source = source.view()
         source.flags.writeable = False
         if self._precision == "mixed" and source.dtype == np.float32:
-            self.mixing.apply_mixed(source, block_rows=self._stream_rows, out=out)
+            operator.apply_mixed(source, block_rows=self._stream_rows, out=out)
             return out
         self._scheduler.map(
-            lambda start, stop: self.mixing.mix_block(source, start, stop, out),
+            lambda start, stop: operator.mix_block(source, start, stop, out),
             self._fleet_blocks(),
         )
         return out
@@ -729,20 +714,11 @@ class DecentralizedAlgorithm:
         except Exception:
             pass
 
-    def _step_loop(self, round_index: int) -> None:
-        """One round via per-agent message passing (must be overridden)."""
+    def _step(self, round_index: int) -> None:
+        """One round for every agent (must be overridden)."""
         raise NotImplementedError(
-            f"{type(self).__name__} must implement _step_loop() (and optionally "
-            "_step_vectorized()) or override step() directly"
+            f"{type(self).__name__} must implement _step() or override step() directly"
         )
-
-    def _step_vectorized(self, round_index: int) -> None:
-        """One round via fleet-level tensor operations.
-
-        Defaults to the loop implementation so algorithms without a
-        vectorized port remain correct under either backend setting.
-        """
-        self._step_loop(round_index)
 
     def run_round(self) -> None:
         """Advance the network round counter and run :meth:`step` once."""
@@ -780,12 +756,12 @@ class DecentralizedAlgorithm:
         (linear classifiers and MLPs); rows are grouped by batch shape so
         ragged batches (agents whose shard is smaller than the configured
         batch size) only exclude themselves from a stack, not the whole
-        fleet.  Models without stacked support (CNNs) fall back to one
-        :meth:`Model.loss_and_gradient` call per row.  ``param_rows`` may
-        contain arbitrary rows (e.g. the neighbour models of every directed
-        edge for cross-gradients), not just the fleet state.  A ``None``
-        batch (an inactive agent, see :meth:`draw_batches`) contributes a
-        zero row and no forward/backward pass.
+        fleet.  Models without stacked support (CNNs, dropout) fall back to
+        one :meth:`Model.loss_and_gradient` call per row, in row order.
+        ``param_rows`` may contain arbitrary rows (e.g. the neighbour models
+        of every directed edge for cross-gradients), not just the fleet
+        state.  A ``None`` batch (an inactive agent) contributes a zero row
+        and no forward/backward pass.
         """
         param_rows = np.asarray(param_rows, dtype=self._grad_dtype)
         present = [k for k, batch in enumerate(batches) if batch is not None]
@@ -852,8 +828,9 @@ class DecentralizedAlgorithm:
         agents:
             The agent that owns (and therefore noises) each row; defaults to
             ``0..num_agents-1`` (one row per agent).  Rows owned by the same
-            agent must appear in the order the loop backend would privatize
-            them, so both backends consume identical noise streams.
+            agent must appear in the order that agent releases them (own
+            gradient first, then its cross-gradients by owner), which fixes
+            how each noise stream is consumed.
 
         The round passes one row block (or one evaluator-aligned chunk) at a
         time, so the transient stays block-sized.
@@ -878,15 +855,14 @@ class DecentralizedAlgorithm:
             for agent, owned_rows in rows_by_owner.items():
                 if not self.active_mask[agent]:
                     # Inactive owners contribute zero rows and draw no
-                    # noise, mirroring the loop engine which never reaches
-                    # their privatize call.
+                    # noise: they release nothing this round.
                     continue
                 index = np.asarray(owned_rows, dtype=np.intp)
                 clipped[index] = self.mechanisms[agent].add_noise_rows(clipped[index])
         return clipped
 
     def fleet_cross_gradients(
-        self, batches: Sequence[Batch]
+        self, batches: Sequence[Batch], delivered: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, Dict[Tuple[int, int], int]]:
         """Perturbed cross-gradients for every directed pair, plus a row index.
 
@@ -894,11 +870,15 @@ class DecentralizedAlgorithm:
         agent ``j``'s model evaluated on agent ``i``'s batch (the
         cross-gradient ``g_{i,j}`` of eq. 12).  Pairs are grouped by
         evaluator with owners ascending, so each evaluator's noise draws
-        follow its own-gradient draw in exactly the loop backend's order —
-        callers must privatize local gradients (one row per agent, agent
-        order) *before* calling this.
+        follow its own-gradient draw in a fixed order — callers must
+        privatize local gradients (one row per agent, agent order) *before*
+        calling this.  ``delivered`` (one flag per
+        :meth:`~repro.topology.graphs.Topology.directed_pairs` entry)
+        restricts the work to the pairs whose model reached the evaluator.
         """
         pairs = self.topology.directed_pairs()
+        if delivered is not None:
+            pairs = [pair for pair, arrived in zip(pairs, delivered) if arrived]
         evaluators = [i for i, _ in pairs]
         owners = [j for _, j in pairs]
         # The pair rows are evaluated in evaluator-aligned chunks of
@@ -945,10 +925,6 @@ class DecentralizedAlgorithm:
                 start = k
         return chunks
 
-    def clip(self, gradient: np.ndarray) -> np.ndarray:
-        """Clip a gradient to the configured threshold without adding noise."""
-        return clip_by_l2_norm(gradient, self.config.clip_threshold)
-
     def neighbor_weights(self, agent: int) -> Dict[int, float]:
         """``{j: omega_{ij}}`` over the agent's closed neighbourhood ``M_i``."""
         return {
@@ -967,7 +943,9 @@ class DecentralizedAlgorithm:
         )
         return [mixed[i] for i in range(self.num_agents)]
 
-    def mix_rows(self, matrix: np.ndarray) -> np.ndarray:
+    def mix_rows(
+        self, matrix: np.ndarray, operator: Optional[MixingOperator] = None
+    ) -> np.ndarray:
         """The gossip step as one matrix multiply: ``W @ X`` (eqs. 24–25).
 
         Dispatches to the configured :class:`~repro.topology.mixing.MixingOperator`:
@@ -976,46 +954,90 @@ class DecentralizedAlgorithm:
         The product is streamed over ``(block_rows, d)`` output chunks
         (bit-identical for every block size); in ``dtype="mixed"`` mode
         float32 state is mixed with float64 accumulation per block.
+        ``operator`` defaults to the round's ``W``.
         """
+        operator = self.mixing if operator is None else operator
         matrix = np.asarray(matrix)
         if self._precision == "mixed" and matrix.dtype == np.float32:
-            return self.mixing.apply_mixed(matrix, block_rows=self._stream_rows)
-        return self.mixing.mix_rows_blocked(matrix, self._stream_rows)
+            return operator.apply_mixed(matrix, block_rows=self._stream_rows)
+        return operator.mix_rows_blocked(matrix, self._stream_rows)
 
     def record_fleet_exchange(
         self,
         tag: str,
         floats_per_message: int,
         bytes_per_message: Optional[int] = None,
-    ) -> None:
-        """Account one all-neighbour exchange executed by the vectorized engine.
+        sent: Optional[np.ndarray] = None,
+    ) -> Optional[np.ndarray]:
+        """Account one all-neighbour exchange and draw which messages arrive.
 
-        Mirrors the traffic the loop backend generates for the same phase:
-        one message per directed edge, each carrying ``floats_per_message``
-        floats (and ``bytes_per_message`` wire bytes; dense float64 when
-        omitted).  Hierarchical topologies
+        One message per directed edge of the round topology — or, with
+        ``sent``, per edge whose flag is set — each carrying
+        ``floats_per_message`` floats (and ``bytes_per_message`` wire bytes;
+        dense float64 when omitted).  Edges are indexed like
+        :meth:`~repro.topology.graphs.Topology.directed_pairs`.
+        Hierarchical topologies
         (:class:`~repro.topology.hierarchical.HierarchicalTopology`) expose
         a ``directed_edge_split`` — their traffic is accounted under
         ``"{tag}.intra"`` (within-cluster channels, cheap local links) and
         ``"{tag}.inter"`` (cross-cluster channels, the expensive hops)
         separately, so bandwidth reports can price the two tiers
         differently.
+
+        Returns the delivery mask over every directed edge (``False`` for
+        lost and unsent messages), or ``None`` when the network drops
+        nothing — then no randomness is drawn at all.
         """
+        if sent is None:
+            num_messages = self.topology.num_directed_edges
+        else:
+            num_messages = int(np.count_nonzero(sent))
         split = getattr(self.topology, "directed_edge_split", None)
-        if split is not None:
-            intra_edges, inter_edges = split
-            if intra_edges:
-                self.network.record_bulk(
-                    f"{tag}.intra", intra_edges, floats_per_message, bytes_per_message
-                )
-            if inter_edges:
-                self.network.record_bulk(
-                    f"{tag}.inter", inter_edges, floats_per_message, bytes_per_message
-                )
-            return
-        self.network.record_bulk(
-            tag, self.topology.num_directed_edges, floats_per_message, bytes_per_message
+        if split is not None and sent is not None:
+            receivers, senders, _ = self.mixing.directed_edges()
+            size = self.topology.cluster_size
+            intra = int(np.count_nonzero(sent & (receivers // size == senders // size)))
+            split = (intra, num_messages - intra)
+        if split is None:
+            self.network.record_bulk(tag, num_messages, floats_per_message, bytes_per_message)
+        else:
+            for tier, count in zip(("intra", "inter"), split):
+                if count:
+                    self.network.record_bulk(
+                        f"{tag}.{tier}", count, floats_per_message, bytes_per_message
+                    )
+        arrived = self.network.delivery_mask(num_messages)
+        if arrived is None or sent is None:
+            return arrived
+        delivered = np.zeros(len(sent), dtype=bool)
+        delivered[np.flatnonzero(sent)] = arrived
+        return delivered
+
+    def _cross_gradient_exchange(
+        self, batches: Sequence[Optional[Batch]]
+    ) -> Tuple[np.ndarray, Dict[Tuple[int, int], int]]:
+        """Phases 1–2 of a cross-gradient round: models out, cross-gradients back.
+
+        Every agent sends its model to each neighbour; each evaluator that
+        received a model returns the perturbed cross-gradient of it on its
+        own batch (:meth:`fleet_cross_gradients`).  Returns the
+        cross-gradient rows and ``pair_rows`` restricted to the pairs
+        ``(evaluator, owner)`` whose model *and* reply both arrived — the
+        contributions the owner can aggregate.
+        """
+        model_arrived = self.record_fleet_exchange("model", self.dimension)
+        cross_perturbed, pair_rows = self.fleet_cross_gradients(batches, model_arrived)
+        reply_arrived = self.record_fleet_exchange(
+            "cross_grad", self.dimension, sent=model_arrived
         )
+        if reply_arrived is not None:
+            pairs = self.topology.directed_pairs()
+            pair_rows = {
+                pair: pair_rows[pair]
+                for pair, arrived in zip(pairs, reply_arrived)
+                if arrived
+            }
+        return cross_perturbed, pair_rows
 
     # ------------------------------------------------------------------
     # Compressed gossip
@@ -1040,14 +1062,14 @@ class DecentralizedAlgorithm:
         return num_channels * values, num_channels * wire_bytes
 
     def compress_gossip_rows(self, channel: str, matrix: np.ndarray) -> np.ndarray:
-        """Decoded fleet matrix for one gossip channel (vectorized engine).
+        """Decoded fleet matrix for one gossip channel.
 
         Active rows go through the codec (updating their error-feedback
-        residuals); inactive rows pass through raw, exactly like the loop
-        engine where an inactive agent never reaches its broadcast.  With
-        the identity codec the input is returned unchanged.  The codec
-        kernels are row-wise, so encoding block by block is bit-identical
-        to the whole-matrix call while bounding the transient working set.
+        residuals); inactive rows pass through raw, since an inactive agent
+        sends nothing.  With the identity codec the input is returned
+        unchanged.  The codec kernels are row-wise, so encoding block by
+        block is bit-identical to the whole-matrix call while bounding the
+        transient working set.
         """
         if self._compression_state is None:
             return matrix
@@ -1055,102 +1077,6 @@ class DecentralizedAlgorithm:
         return self._compression_state.compress_rows_blocked(
             channel, matrix, mask, self._stream_rows
         )
-
-    def gossip_broadcast(self, agent: int, tag: str, value):
-        """Broadcast one agent's gossip payload and return what consumers mix.
-
-        The loop-engine counterpart of :meth:`compress_gossip_rows` plus
-        :meth:`record_fleet_exchange`: the payload (an array, or a tuple of
-        arrays compressed channel-by-channel as ``"{tag}.{index}"``) is
-        encoded once, sent to every neighbour at its compressed wire size,
-        and the *decoded* value is returned — the gossip semantics are
-        ``x_i <- sum_j w_ij C(x_j)``, with every consumer (the agent itself
-        included) mixing the reconstructed value, which is what makes the
-        vectorized engine's ``W @ decoded`` equivalent.  With the identity
-        codec the original ``value`` comes back and the wire carries plain
-        copies, bit-identical to the historical path.  Inactive agents
-        transmit nothing and get their raw ``value`` back.
-        """
-        if not self.is_active(agent):
-            return value
-        neighbors = self.topology.neighbors(agent, include_self=False)
-        if self._compression_state is None:
-            if isinstance(value, tuple):
-                payload = tuple(np.asarray(part).copy() for part in value)
-            else:
-                payload = value.copy()
-            self.network.broadcast(agent, neighbors, tag, payload)
-            return value
-        if isinstance(value, tuple):
-            decoded = tuple(
-                self._compression_state.compress_row(f"{tag}.{index}", agent, part)
-                for index, part in enumerate(value)
-            )
-            num_channels = len(value)
-        else:
-            decoded = self._compression_state.compress_row(tag, agent, value)
-            num_channels = 1
-        values, wire_bytes = self.gossip_wire_cost(num_channels)
-        self.network.broadcast(
-            agent,
-            neighbors,
-            tag,
-            CompressedPayload(
-                values=decoded,
-                num_values=values,
-                wire_bytes=wire_bytes,
-                codec=self.codec.name,
-            ),
-        )
-        return decoded
-
-    def gossip_receive(self, agent: int, tag: str) -> Dict[int, object]:
-        """Drain one agent's gossip mailbox, unwrapping compressed payloads."""
-        received = self.network.receive_by_sender(agent, tag)
-        if self._compression_state is None:
-            return received
-        return {
-            sender: (
-                payload.values
-                if isinstance(payload, CompressedPayload)
-                else payload
-            )
-            for sender, payload in received.items()
-        }
-
-    def mix_received(self, agent: int, own, received: Dict[int, object]):
-        """Loop-engine gossip mix: ``own + sum_j w_ij (x_j - own)`` over ``received``.
-
-        ``own`` is what the agent itself shares this round and ``received``
-        maps each neighbour that got through to its payload.  A vector
-        payload mixes as one array, a tuple payload part by part.  With
-        every neighbour received this equals ``sum_j w_ij x_j`` over the
-        closed neighbourhood; a dropped neighbour's weight stays on the
-        diagonal, so the result is a convex combination of what arrived and
-        a message loss never shrinks a model.  Accumulates in float64.
-        """
-        parts = own if isinstance(own, tuple) else (own,)
-        bases = [np.asarray(part, dtype=np.float64) for part in parts]
-        mixed = [base.copy() for base in bases]
-        for sender, payload in received.items():
-            weight = self.topology.weight(agent, sender)
-            values = payload if isinstance(own, tuple) else (payload,)
-            for acc, base, value in zip(mixed, bases, values):
-                acc += weight * (value - base)
-        return tuple(mixed) if isinstance(own, tuple) else mixed[0]
-
-    def draw_batches(self) -> List[Optional[Batch]]:
-        """One fresh mini-batch per *active* agent for the current round.
-
-        Inactive agents (churned out or straggling) get ``None`` and their
-        sampler streams are not consumed — identically under both engines,
-        so loop/vectorized trajectory equivalence extends to dynamic
-        schedules.
-        """
-        return [
-            self.samplers[i].next_batch() if self.active_mask[i] else None
-            for i in range(self.num_agents)
-        ]
 
     # ------------------------------------------------------------------
     # State accessors and evaluation
@@ -1175,9 +1101,9 @@ class DecentralizedAlgorithm:
 
         The per-agent evaluation subsample is drawn from a dedicated
         seed-derived RNG per agent (independent of the training streams), so
-        the evaluated samples are identical under every backend and
-        evaluation path.  When the model supports stacked evaluation the
-        per-agent losses are computed with whole-fleet forward passes
+        the evaluated samples are identical on every evaluation path.  When
+        the model supports stacked evaluation the per-agent losses are
+        computed with whole-fleet forward passes
         (grouped by shard shape, like :meth:`fleet_gradients`) instead of
         one Python-level ``evaluate_loss`` call per agent.
         """
@@ -1240,8 +1166,9 @@ class DecentralizedAlgorithm:
         """Everything needed to resume this run **bit-identically**.
 
         Captures the fleet matrices (parameters, momentum), the position of
-        every per-agent random stream (batch samplers, DP noise mechanisms,
-        algorithm-level generators), the privacy accountant's events, the
+        every random stream (batch samplers, DP noise mechanisms,
+        algorithm-level generators, dropout layers' generators), the privacy
+        accountant's events, the
         network's round counter and traffic totals, and the round count —
         which *is* the :class:`~repro.topology.schedule.TopologySchedule`
         position, because schedules are pure functions of ``(seed, round)``
@@ -1272,6 +1199,9 @@ class DecentralizedAlgorithm:
             ],
             "agent_rng_states": [
                 generator.bit_generator.state for generator in self.agent_rngs
+            ],
+            "model_rng_states": [
+                generator.bit_generator.state for generator in self._model_rngs
             ],
             "accountant_events": self.accountant.state_dict(),
             "network": self.network.state_dict(),
@@ -1346,6 +1276,16 @@ class DecentralizedAlgorithm:
         ):
             mechanism.rng.bit_generator.state = rng_state
         for generator, rng_state in zip(self.agent_rngs, payload["agent_rng_states"]):
+            generator.bit_generator.state = rng_state
+        # Checkpoints written before dropout streams were captured carry
+        # none; their layers keep whatever state the rebuilt model has.
+        model_rng_states = payload.get("model_rng_states", [])
+        if model_rng_states and len(model_rng_states) != len(self._model_rngs):
+            raise ValueError(
+                f"checkpoint has {len(model_rng_states)} model_rng_states, "
+                f"expected {len(self._model_rngs)}"
+            )
+        for generator, rng_state in zip(self._model_rngs, model_rng_states):
             generator.bit_generator.state = rng_state
         self.accountant.load_state_dict(payload["accountant_events"])
         self.network.load_state_dict(payload["network"])

@@ -48,19 +48,6 @@ class AlgorithmConfig:
         Mini-batch size drawn by each agent per round.
     seed:
         Base seed; per-agent randomness is derived from it deterministically.
-    backend:
-        Execution engine: ``"vectorized"`` (default) keeps the fleet's
-        parameters in one ``(num_agents, dimension)`` matrix and performs the
-        gossip step as a single ``W @ X`` multiply with batched gradient and
-        clip+noise paths; ``"loop"`` steps agents one at a time through the
-        message-passing :class:`~repro.simulation.network.Network`.  Both
-        backends consume identical per-agent random streams, so a fixed seed
-        yields the same trajectory (up to floating-point associativity)
-        under either engine.  Algorithms automatically fall back to the loop
-        backend when the network injects message drops (which only exist as
-        per-message events) or when the model contains stochastic layers
-        such as dropout (whose shared forward-pass RNG would be consumed in
-        a different order by the re-grouped vectorized evaluations).
     mixing_backend:
         Storage format the gossip step applies ``W`` in: ``"auto"`` (the
         default) picks dense or CSR by fleet size and edge density
@@ -89,15 +76,17 @@ class AlgorithmConfig:
         assignment.  The precision tests pin the float32/mixed trajectory
         divergence from float64.
     block_rows:
-        Row-block size of the vectorized round.  The vectorized backend
-        always runs the *whole* round (batch drawing, gradient evaluation,
+        Row-block size of the round.  There is one round engine: it keeps
+        the fleet's parameters in one ``(num_agents, dimension)`` matrix and
+        runs the *whole* round (batch drawing, gradient evaluation,
         clip+noise, momentum/state updates, codec and gossip) as a pipeline
         over ``(block_rows, d)`` row blocks, never materialising more than
         a handful of block-sized scratch chunks at a time; gossip is
         applied over output chunks
         (:meth:`~repro.topology.mixing.MixingOperator.mix_rows_blocked`).
-        This knob only sets the block size: every size gives bit-identical
-        results.  ``None`` (the default) picks about 32 MiB per block
+        Message drops and dropout layers run on the same engine (drops as
+        per-exchange edge masks on the mixing operator).  This knob only
+        sets the block size: every size gives bit-identical results.  ``None`` (the default) picks about 32 MiB per block
         (:func:`~repro.sharding.resolve_block_rows`), i.e. a single block
         whenever the float64 fleet matrix fits in 32 MiB.
     block_workers:
@@ -124,7 +113,6 @@ class AlgorithmConfig:
     delta: float = 1e-5
     batch_size: int = 32
     seed: int = 0
-    backend: str = "vectorized"
     mixing_backend: str = "auto"
     compression: Optional[CompressionConfig] = None
     dtype: str = "float64"
@@ -158,8 +146,6 @@ class AlgorithmConfig:
             raise ValueError("delta must lie in (0, 1)")
         if self.sigma is None and self.epsilon is None:
             raise ValueError("either sigma or epsilon must be provided")
-        if self.backend not in ("loop", "vectorized"):
-            raise ValueError("backend must be 'loop' or 'vectorized'")
         if self.mixing_backend not in ("auto", "dense", "sparse"):
             raise ValueError("mixing_backend must be 'auto', 'dense' or 'sparse'")
         if self.dtype not in ("float64", "float32", "mixed"):

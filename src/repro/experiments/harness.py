@@ -36,20 +36,7 @@ from repro.nn.zoo import make_cifar_cnn, make_linear_classifier, make_mlp, make_
 from repro.simulation.metrics import TrainingHistory
 from repro.simulation.runner import EvaluationConfig, run_decentralized
 from repro.topology.schedule import TopologySchedule, schedule_from_dynamics
-from repro.topology.graphs import (
-    Topology,
-    bipartite_graph,
-    erdos_renyi_graph,
-    exponential_graph,
-    fully_connected_graph,
-    grid_graph,
-    hypercube_graph,
-    random_regular_graph,
-    ring_graph,
-    small_world_graph,
-    star_graph,
-    torus_graph,
-)
+from repro.topology.graphs import Topology, topology_by_name
 
 __all__ = [
     "ExperimentComponents",
@@ -80,50 +67,6 @@ class ExperimentComponents:
     partition: PartitionResult
     model_factory: Callable[[], Model]
     schedule: Optional[TopologySchedule] = None
-
-
-def _make_topology(
-    name: str,
-    num_agents: int,
-    seed: int,
-    cluster_size: Optional[int] = None,
-) -> Topology:
-    if name == "fully_connected":
-        return fully_connected_graph(num_agents)
-    if name == "hierarchical":
-        from repro.topology.hierarchical import hierarchical_graph
-
-        return hierarchical_graph(num_agents, cluster_size=cluster_size)
-    if name == "ring":
-        return ring_graph(num_agents)
-    if name == "bipartite":
-        return bipartite_graph(num_agents)
-    if name == "star":
-        return star_graph(num_agents)
-    if name == "grid":
-        rows = int(np.floor(np.sqrt(num_agents)))
-        cols = int(np.ceil(num_agents / max(rows, 1)))
-        return grid_graph(rows, cols)
-    if name == "torus":
-        side = int(round(np.sqrt(num_agents)))
-        if side * side != num_agents:
-            raise ValueError("torus topology needs a square number of agents")
-        return torus_graph(side)
-    if name == "erdos_renyi":
-        return erdos_renyi_graph(num_agents, edge_probability=0.4, seed=seed)
-    if name == "random_regular":
-        degree = 4 if num_agents > 4 else 2
-        return random_regular_graph(num_agents, degree=degree, seed=seed)
-    if name == "small_world":
-        return small_world_graph(num_agents, seed=seed)
-    if name == "hypercube":
-        dimension = int(round(np.log2(num_agents)))
-        if 2**dimension != num_agents:
-            raise ValueError("hypercube topology needs a power-of-two number of agents")
-        return hypercube_graph(dimension)
-    if name == "exponential":
-        return exponential_graph(num_agents)
-    raise ValueError(f"unknown topology: {name}")
 
 
 def _make_dataset(spec: ExperimentSpec) -> Dataset:
@@ -194,7 +137,7 @@ def build_experiment_components(spec: ExperimentSpec) -> ExperimentComponents:
         rng=rng,
         min_samples_per_agent=max(2, spec.batch_size // 4),
     )
-    topology = _make_topology(
+    topology = topology_by_name(
         spec.topology, spec.num_agents, spec.seed, cluster_size=spec.cluster_size
     )
     schedule = (

@@ -27,6 +27,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.compression.config import CompressionConfig, validate_compression
 from repro.simulation.events.traces import validate_async_knobs, validate_time_model
+from repro.topology.graphs import check_topology_size
 from repro.topology.schedule import validate_dynamics
 
 __all__ = [
@@ -122,7 +123,9 @@ class ExperimentSpec:
     :class:`~repro.simulation.events.engine.AsyncEngine` wrapper by the
     harness.  ``None`` (the default) keeps real-time-only execution;
     ``{"traces": "uniform"}`` simulates timing while staying bit-identical
-    to the synchronous engines.
+    to the synchronous round.  ``"async": True`` accepts only the
+    algorithms in :data:`~repro.simulation.events.traces.ASYNC_ALGORITHMS`
+    (the default five-algorithm comparison is rejected at parse time).
     """
 
     name: str
@@ -186,11 +189,22 @@ class ExperimentSpec:
                 raise ValueError(
                     "cluster_size applies only with topology='hierarchical'"
                 )
+        check_topology_size(self.topology, self.num_agents, self.cluster_size)
+        if (
+            self.dynamics
+            and CompressionConfig.from_mapping(self.compression).peer_selection
+            == "shift_one"
+        ):
+            raise ValueError(
+                "peer_selection='shift_one' replaces the topology with a "
+                "rotating matching and cannot be combined with dynamics"
+            )
         validate_time_model(self.time_model, num_agents=self.num_agents)
         if self.time_model and self.time_model.get("async", False):
             validate_async_knobs(
                 static_schedule=not self.dynamics,
                 compression=CompressionConfig.from_mapping(self.compression),
+                algorithms=self.algorithms,
             )
 
     def with_updates(self, **kwargs) -> "ExperimentSpec":

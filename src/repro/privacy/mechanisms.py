@@ -1,10 +1,11 @@
 """Gradient clipping and the Gaussian mechanism (Definitions 1–2, eqs. 10–14).
 
-Two granularities are provided: the per-vector helpers used by the loop
-backend (:func:`clip_by_l2_norm`, :meth:`GaussianMechanism.privatize`) and
-the row-stack helpers used by the vectorized engine
-(:func:`clip_rows_by_l2_norm`, :meth:`GaussianMechanism.add_noise_rows`).
-Noise stays per-*mechanism* even on the vectorized path — each row of a
+Two granularities are provided: the per-vector helpers used by async local
+steps and the per-agent test reference (:func:`clip_by_l2_norm`,
+:meth:`GaussianMechanism.privatize`) and the row-stack helpers used by the
+round engine (:func:`clip_rows_by_l2_norm`,
+:meth:`GaussianMechanism.add_noise_rows`).  Noise stays per-*mechanism* on
+the row-stack path too — each row of a
 fleet stack belongs to a different agent's mechanism and must consume that
 agent's random stream — but all of one agent's rows are drawn in a single
 batched ``normal`` call, which fills the array sequentially and therefore

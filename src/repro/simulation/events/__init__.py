@@ -29,6 +29,7 @@ from repro.simulation.events.queue import (
     EventQueue,
 )
 from repro.simulation.events.traces import (
+    ASYNC_ALGORITHMS,
     TIME_MODEL_KEYS,
     DeviceTrace,
     load_traces,
@@ -58,5 +59,6 @@ __all__ = [
     "transfer_seconds",
     "uniform_traces",
     "validate_async_knobs",
+    "ASYNC_ALGORITHMS",
     "validate_time_model",
 ]

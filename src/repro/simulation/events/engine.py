@@ -36,8 +36,10 @@ finished one more local step, so fast agents legitimately run ahead.  Each
 completed local step is a separate clipped+noised release, so the privacy
 accountant composes over the *fastest* agent's step count (the worst-case
 per-agent loss), not one event per round.
-Requires a static topology, the identity codec, ``communication_interval=1``
-and all-neighbour peer selection — checked by
+Runs only the algorithms whose rule that local step is (DMSGD, and
+DP-DPSGD / D-PSGD at momentum 0) and requires a static topology, the
+identity codec, ``communication_interval=1`` and all-neighbour peer
+selection — checked by
 :func:`~repro.simulation.events.traces.validate_async_knobs`, which
 :class:`~repro.experiments.specs.ExperimentSpec` also runs at parse time.
 
@@ -115,7 +117,10 @@ class AsyncEngine:
             raise ValueError("staleness_decay must be non-negative")
         if self.async_mode:
             validate_async_knobs(
-                algorithm.schedule.is_static, algorithm.compression_config
+                algorithm.schedule.is_static,
+                algorithm.compression_config,
+                [algorithm.name],
+                algorithm.config.momentum,
             )
         self.queue = EventQueue()
         self._sim_time = 0.0

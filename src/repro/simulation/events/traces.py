@@ -46,6 +46,7 @@ __all__ = [
     "transfer_seconds",
     "validate_time_model",
     "validate_async_knobs",
+    "ASYNC_ALGORITHMS",
 ]
 
 #: The vocabulary of ``ExperimentSpec.time_model``: ``traces`` declares the
@@ -315,17 +316,50 @@ def validate_time_model(
         traces_from_spec(traces, num_agents)
 
 
-def validate_async_knobs(static_schedule: bool, compression) -> None:
-    """Reject the knobs async mode cannot honour.
+#: The algorithms whose update rule async mode actually runs.  An async
+#: local step is one momentum-SGD step on a privatized local gradient
+#: followed by model gossip on arrival: DMSGD's rule, and DP-DPSGD's (and
+#: the non-private D-PSGD's) at momentum 0.
+#: The cross-gradient, tracking and multi-step gossip algorithms have no
+#: async rule, so labelling such a run PDSL (say) would be false.
+ASYNC_ALGORITHMS = frozenset({"DMSGD", "DP-DPSGD", "D-PSGD"})
+
+#: The async algorithms whose synchronous round takes plain SGD steps (it
+#: ignores ``config.momentum``), so async mode runs them only at momentum 0.
+_MOMENTUM_FREE_ALGORITHMS = frozenset({"DP-DPSGD", "D-PSGD"})
+
+
+def validate_async_knobs(
+    static_schedule: bool,
+    compression,
+    algorithms: Sequence[str],
+    momentum: float = 0.0,
+) -> None:
+    """Reject the algorithms and knobs async mode cannot honour.
 
     Async mode replaces the synchronous round with trace-driven local steps
-    and raw-model gossip with every neighbour on arrival, so it needs
-    all-neighbour peer selection, a static topology schedule, the identity
-    codec and ``communication_interval=1``.  ``compression`` is a
+    and raw-model gossip with every neighbour on arrival, so it runs only
+    :data:`ASYNC_ALGORITHMS` (DP-DPSGD and D-PSGD only at ``momentum=0``)
+    and needs all-neighbour peer selection, a static topology schedule, the
+    identity codec and ``communication_interval=1``.  ``compression`` is a
     :class:`~repro.compression.config.CompressionConfig`.  Shared by
-    :class:`~repro.experiments.specs.ExperimentSpec` (at parse time) and
-    :class:`~repro.simulation.events.engine.AsyncEngine`.
+    :class:`~repro.experiments.specs.ExperimentSpec` (at parse time; the
+    harness builds DP-DPSGD and D-PSGD at momentum 0) and
+    :class:`~repro.simulation.events.engine.AsyncEngine` (which passes the
+    algorithm's ``config.momentum``).
     """
+    unsupported = [name for name in algorithms if name not in ASYNC_ALGORITHMS]
+    if unsupported:
+        raise ValueError(
+            f"async mode runs a momentum-SGD local step, which is the update "
+            f"rule of {sorted(ASYNC_ALGORITHMS)} only; got {unsupported}"
+        )
+    with_momentum = [n for n in algorithms if n in _MOMENTUM_FREE_ALGORITHMS]
+    if momentum != 0.0 and with_momentum:
+        raise ValueError(
+            f"{with_momentum} take plain SGD steps; async mode runs them only "
+            f"at momentum 0, got momentum={momentum}"
+        )
     if compression.peer_selection == "shift_one":
         raise ValueError(
             "async mode gossips with every neighbour on arrival and cannot "

@@ -1,19 +1,13 @@
-"""Message-passing network between simulated agents.
+"""The communication layer between simulated agents.
 
-Agents in the decentralized algorithms never read each other's state
-directly: every exchange — broadcasting the current model to the neighbours
-(Algorithm 1, line 5), returning perturbed cross-gradients (line 11), sharing
-momentum buffers and models for the gossip step (line 21) — goes through a
-:class:`Network` mailbox.  This keeps the information flow identical to a
-real deployment and lets tests assert on exactly what was transmitted.
-
-Message payloads are kept as opaque objects (typically NumPy arrays); the
-network records per-tag traffic statistics (message counts, float counts and
-wire bytes) so experiments can report communication cost.  A payload wrapped
-in :class:`~repro.compression.codecs.CompressedPayload` is accounted at its
-*encoded* size — the value count and byte count the codec reports — instead
-of the dense float64 size, so compressed-gossip runs show the bandwidth a
-real deployment would pay.
+Every exchange of a round — broadcasting the current model to the
+neighbours (Algorithm 1, line 5), returning perturbed cross-gradients (line
+11), sharing momentum buffers and models for the gossip step (line 21) — is
+accounted here: the round engine reports each all-neighbour exchange through
+:meth:`Network.record_bulk` (message counts, float counts and wire bytes per
+tag, at the codec's encoded size) and asks :meth:`Network.delivery_mask`
+which of its messages arrive.  The event-driven async mode sends real
+payloads point to point through the :meth:`Network.send` mailbox instead.
 """
 
 from __future__ import annotations
@@ -23,8 +17,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
-
-from repro.compression.codecs import CompressedPayload
 
 __all__ = ["Message", "Network"]
 
@@ -41,7 +33,7 @@ class Message:
 
 
 class Network:
-    """Mailbox-based point-to-point communication between ``num_agents`` agents.
+    """Traffic accounting, message loss and a point-to-point mailbox for ``num_agents`` agents.
 
     Parameters
     ----------
@@ -49,9 +41,8 @@ class Network:
         Number of participating agents, identified by integers ``0..M-1``.
     drop_probability:
         Probability that any individual message is silently dropped
-        (fault-injection hook used by robustness tests); 0 disables drops
-        and 1 models a fully partitioned network where nothing is ever
-        delivered.
+        (fault injection); 0 disables drops and 1 models a fully
+        partitioned network where nothing is ever delivered.
     rng:
         Randomness source for drops; required when ``drop_probability > 0``.
 
@@ -169,12 +160,8 @@ class Network:
             self.messages_rejected += 1
             return False
         self.messages_sent += 1
-        if isinstance(payload, CompressedPayload):
-            payload_size = int(payload.num_values)
-            payload_bytes = int(payload.wire_bytes)
-        else:
-            payload_size = int(np.asarray(payload).size) if isinstance(payload, (np.ndarray, list, tuple)) else 1
-            payload_bytes = 8 * payload_size
+        payload_size = int(np.asarray(payload).size) if isinstance(payload, (np.ndarray, list, tuple)) else 1
+        payload_bytes = 8 * payload_size
         self.floats_sent += payload_size
         self.bytes_sent += payload_bytes
         self.traffic_by_tag[tag] += payload_size
@@ -193,16 +180,16 @@ class Network:
         """Account a delivered message's simulated transit time.
 
         The event-driven barrier mode moves real payloads through
-        :meth:`record_bulk` (the vectorized exchange) but still knows each
-        message's individual arrival time; this hook tags the latency
+        :meth:`record_bulk` (the round engine's exchange) but still knows
+        each message's individual arrival time; this hook tags the latency
         without enqueueing anything.  Async mode records latency through
         ``send(..., latency=...)`` instead.
 
         Because this hook bypasses :meth:`send`, callers decide what
         "arrived" means: barrier mode records every *scheduled* edge (its
-        numeric round applies drop faults separately, with RNG the timing
-        pass must not touch), so with fault injection these counters are
-        pre-drop; async mode counts confirmed deliveries only.
+        numeric round draws drop faults separately, from the stream the
+        timing pass must not touch), so with fault injection these counters
+        are pre-drop; async mode counts confirmed deliveries only.
         """
         if not tag:
             raise ValueError("tag must be a non-empty string")
@@ -222,16 +209,15 @@ class Network:
         floats_per_message: int,
         bytes_per_message: Optional[int] = None,
     ) -> None:
-        """Account for an exchange performed outside the mailbox (vectorized engine).
+        """Account for an exchange performed outside the mailbox (the round engine).
 
-        The vectorized backend replaces per-message gossip with whole-fleet
-        matrix operations; this hook keeps the traffic statistics identical to
-        what the equivalent point-to-point exchange would have recorded, so
-        communication-cost reporting is backend independent.  No messages are
-        enqueued and fault injection does not apply (the vectorized engine is
-        only used on loss-free networks).  ``bytes_per_message`` defaults to
-        the dense float64 size (``8 * floats_per_message``); compressed
-        exchanges pass the codec's encoded size instead.
+        The round engine replaces per-message gossip with whole-fleet matrix
+        operations; this hook records the traffic the equivalent
+        point-to-point exchange would have put on the wire.  No messages are
+        enqueued; which of them arrive is drawn separately by
+        :meth:`delivery_mask`.  ``bytes_per_message`` defaults to the dense
+        float64 size (``8 * floats_per_message``); compressed exchanges pass
+        the codec's encoded size instead.
         """
         if not tag:
             raise ValueError("tag must be a non-empty string")
@@ -247,14 +233,18 @@ class Network:
         self.traffic_by_tag[tag] += int(num_messages) * int(floats_per_message)
         self.bytes_by_tag[tag] += int(num_messages) * int(bytes_per_message)
 
-    def broadcast(self, sender: int, recipients: List[int], tag: str, payload: Any) -> int:
-        """Send the same payload to every recipient; returns the number delivered."""
-        delivered = 0
-        for recipient in recipients:
-            if recipient == sender:
-                continue
-            if self.send(sender, recipient, tag, payload):
-                delivered += 1
+    def delivery_mask(self, num_messages: int) -> Optional[np.ndarray]:
+        """Which of ``num_messages`` just-sent messages arrive (``None``: all).
+
+        Draws one uniform per message from the drop stream; a message is
+        lost when its draw falls below ``drop_probability``, and losses are
+        counted in ``messages_dropped``.  A loss-free network draws nothing
+        and returns ``None``, so drop-free runs consume no randomness.
+        """
+        if self.drop_probability == 0.0:
+            return None
+        delivered = self.rng.random(int(num_messages)) >= self.drop_probability
+        self.messages_dropped += int(num_messages) - int(np.count_nonzero(delivered))
         return delivered
 
     # ------------------------------------------------------------------
@@ -266,18 +256,6 @@ class Network:
         box = self._mailboxes[recipient]
         messages = box.pop(tag, [])
         return list(messages)
-
-    def receive_by_sender(self, recipient: int, tag: str) -> Dict[int, Any]:
-        """Drain pending messages and return ``{sender: payload}``.
-
-        If a sender delivered several messages under the same tag only the
-        most recent payload is kept, matching "the latest value wins"
-        semantics of the synchronous algorithms here.
-        """
-        payloads: Dict[int, Any] = {}
-        for message in self.receive(recipient, tag):
-            payloads[message.sender] = message.payload
-        return payloads
 
     def pending(self, recipient: int, tag: Optional[str] = None) -> int:
         """Number of undelivered messages waiting for an agent (optionally per tag)."""
@@ -313,8 +291,8 @@ class Network:
     def state_dict(self) -> Dict[str, Any]:
         """Resumable network state: round counter, traffic totals, drop RNG.
 
-        Checkpoints are taken at round boundaries, where the synchronous
-        algorithms have drained every mailbox — so only the counters and the
+        Checkpoints are taken at round boundaries, where no mailbox holds a
+        message — so only the counters and the
         fault-injection RNG stream (when drops are enabled) need capturing,
         and a resumed run's traffic statistics continue exactly where the
         interrupted run's left off.

@@ -27,7 +27,6 @@ thin shim over a session.
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,8 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a circular import at runtime
     from repro.core.base import DecentralizedAlgorithm
 
 __all__ = ["EvaluationConfig", "CallbackBus", "RunSession", "run_decentralized"]
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -252,19 +249,8 @@ class RunSession:
             "learning_rate": algorithm.config.learning_rate,
             "momentum": algorithm.config.momentum,
             "rounds": self.num_rounds,
-            # The effective engine (after e.g. the lossy-network fallback),
-            # not merely the configured one.
-            "backend": getattr(algorithm, "backend", "loop"),
+            "backend": algorithm.backend,
         }
-        if (
-            getattr(algorithm.config, "backend", "loop") == "vectorized"
-            and metadata["backend"] == "loop"
-        ):
-            logger.warning(
-                "%s asked for the vectorized engine but runs on the loop engine: %s",
-                algorithm.name,
-                algorithm.loop_fallback_cause(),
-            )
         schedule = getattr(algorithm, "schedule", None)
         if schedule is not None and not schedule.is_static:
             metadata["dynamics"] = schedule.describe()

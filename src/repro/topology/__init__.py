@@ -25,8 +25,10 @@ symmetric and doubly stochastic (Sec. III-A).  This package provides:
 """
 
 from repro.topology.graphs import (
+    TOPOLOGY_NAMES,
     Topology,
     bipartite_graph,
+    check_topology_size,
     erdos_renyi_graph,
     exponential_graph,
     fully_connected_graph,
@@ -36,6 +38,7 @@ from repro.topology.graphs import (
     ring_graph,
     small_world_graph,
     star_graph,
+    topology_by_name,
     torus_graph,
 )
 from repro.topology.hierarchical import (
@@ -43,6 +46,7 @@ from repro.topology.hierarchical import (
     TwoLevelMixingOperator,
     default_cluster_size,
     hierarchical_graph,
+    resolve_cluster_size,
 )
 from repro.topology.schedule import (
     DYNAMICS_KEYS,
@@ -85,10 +89,14 @@ __all__ = [
     "small_world_graph",
     "hypercube_graph",
     "exponential_graph",
+    "TOPOLOGY_NAMES",
+    "check_topology_size",
+    "topology_by_name",
     "HierarchicalTopology",
     "TwoLevelMixingOperator",
     "hierarchical_graph",
     "default_cluster_size",
+    "resolve_cluster_size",
     "TopologyEvent",
     "TopologySchedule",
     "StaticSchedule",

@@ -20,6 +20,7 @@ change a trajectory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -50,6 +51,9 @@ __all__ = [
     "small_world_graph",
     "hypercube_graph",
     "exponential_graph",
+    "TOPOLOGY_NAMES",
+    "check_topology_size",
+    "topology_by_name",
 ]
 
 
@@ -205,10 +209,11 @@ class Topology:
     def directed_pairs(self) -> List[Tuple[int, int]]:
         """Every ordered pair ``(i, j)`` with ``j`` a neighbour of ``i`` (``j != i``).
 
-        Sorted by ``(i, j)``, i.e. grouped by agent with neighbours ascending —
-        the exact order in which the loop backend's message-passing phases
-        visit the pairs, which the vectorized engine mirrors so both backends
-        consume per-agent randomness identically.
+        Sorted by ``(i, j)``, i.e. grouped by agent with neighbours ascending
+        — the row-major order of ``W``'s positive off-diagonal entries.  The
+        round evaluates cross-gradients and indexes per-exchange delivery
+        masks in this order, which fixes how each agent consumes its own
+        randomness.
         """
         if self._directed_pairs_cache is None:
             self._directed_pairs_cache = [
@@ -450,3 +455,78 @@ def exponential_graph(num_agents: int, sparse: Optional[bool] = None) -> Topolog
             graph.add_edge(i, (i + hop) % num_agents)
         hop *= 2
     return _build(graph, "exponential", sparse=sparse)
+
+
+#: Every topology name :func:`topology_by_name` builds.
+TOPOLOGY_NAMES: Tuple[str, ...] = (
+    "fully_connected", "hierarchical", "ring", "bipartite", "star", "grid",
+    "torus", "erdos_renyi", "random_regular", "small_world", "hypercube",
+    "exponential",
+)
+
+
+def check_topology_size(
+    name: str, num_agents: int, cluster_size: Optional[int] = None
+) -> None:
+    """Reject a name or fleet size :func:`topology_by_name` cannot build.
+
+    Checks without building the graph, so experiment specs can fail at
+    parse time however large the fleet.
+    """
+    if name not in TOPOLOGY_NAMES:
+        raise ValueError(f"unknown topology: {name}")
+    if name == "torus":
+        side = math.isqrt(num_agents)
+        if side * side != num_agents or side < 3:
+            raise ValueError(
+                "torus topology needs a square number of agents with side >= 3"
+            )
+    if name == "hypercube" and num_agents & (num_agents - 1):
+        raise ValueError("hypercube topology needs a power-of-two number of agents")
+    if name == "hierarchical":
+        from repro.topology.hierarchical import resolve_cluster_size
+
+        resolve_cluster_size(num_agents, cluster_size)
+
+
+def topology_by_name(
+    name: str,
+    num_agents: int,
+    seed: int = 0,
+    cluster_size: Optional[int] = None,
+) -> Topology:
+    """Build the named topology over ``num_agents`` agents.
+
+    ``seed`` drives the random graphs; ``cluster_size`` applies to
+    ``"hierarchical"`` only.  Sizes are checked by
+    :func:`check_topology_size`.
+    """
+    check_topology_size(name, num_agents, cluster_size)
+    if name == "fully_connected":
+        return fully_connected_graph(num_agents)
+    if name == "hierarchical":
+        from repro.topology.hierarchical import hierarchical_graph
+
+        return hierarchical_graph(num_agents, cluster_size=cluster_size)
+    if name == "ring":
+        return ring_graph(num_agents)
+    if name == "bipartite":
+        return bipartite_graph(num_agents)
+    if name == "star":
+        return star_graph(num_agents)
+    if name == "grid":
+        rows = int(np.floor(np.sqrt(num_agents)))
+        cols = int(np.ceil(num_agents / max(rows, 1)))
+        return grid_graph(rows, cols)
+    if name == "torus":
+        return torus_graph(math.isqrt(num_agents))
+    if name == "erdos_renyi":
+        return erdos_renyi_graph(num_agents, edge_probability=0.4, seed=seed)
+    if name == "random_regular":
+        degree = 4 if num_agents > 4 else 2
+        return random_regular_graph(num_agents, degree=degree, seed=seed)
+    if name == "small_world":
+        return small_world_graph(num_agents, seed=seed)
+    if name == "hypercube":
+        return hypercube_graph(num_agents.bit_length() - 1)
+    return exponential_graph(num_agents)

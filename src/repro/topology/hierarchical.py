@@ -18,8 +18,8 @@ library.  Two implementations of the same operator live here:
 * :class:`HierarchicalTopology` materialises ``W_eff`` as a CSR matrix, so
   it plugs into the engine exactly like any :class:`Topology` (and into a
   :class:`~repro.topology.schedule.StaticSchedule` / the experiment
-  harness via ``topology="hierarchical"``), with both engines bit-identical
-  as usual.  Its ``directed_edge_split`` lets
+  harness via ``topology="hierarchical"``), bit-stable like every other
+  topology.  Its ``directed_edge_split`` lets
   :meth:`~repro.core.base.DecentralizedAlgorithm.record_fleet_exchange`
   account intra-cluster and inter-cluster traffic under separate tags.
 * :class:`TwoLevelMixingOperator` applies the operator in factored form —
@@ -55,6 +55,7 @@ __all__ = [
     "HierarchicalTopology",
     "hierarchical_graph",
     "default_cluster_size",
+    "resolve_cluster_size",
 ]
 
 
@@ -67,7 +68,8 @@ def default_cluster_size(num_agents: int) -> int:
     """
     if num_agents < 4:
         raise ValueError("hierarchical gossip needs at least 4 agents")
-    best = 2
+    # 2**0 divides every fleet: an odd fleet gets single-agent clusters.
+    best = 1
     candidate = 2
     while candidate * candidate <= num_agents:
         if num_agents % candidate == 0:
@@ -178,8 +180,8 @@ class HierarchicalTopology(Topology):
     """A :class:`Topology` whose mixing matrix is the two-level blow-up.
 
     Behaves exactly like any topology (the engine applies the materialised
-    ``W_eff`` with the standard bit-stable kernels, both engines
-    bit-identical), plus hierarchy metadata: ``cluster_size``,
+    ``W_eff`` with the standard bit-stable kernels, and message loss masks
+    its edges like any other), plus hierarchy metadata: ``cluster_size``,
     ``num_clusters``, the intra/inter directed-channel split used for
     two-tier traffic accounting, and :meth:`two_level_operator` for the
     factored O(N d) fast path.
@@ -209,6 +211,23 @@ class HierarchicalTopology(Topology):
         return TwoLevelMixingOperator(self.cluster_matrix, self.cluster_size)
 
 
+def resolve_cluster_size(num_agents: int, cluster_size: Optional[int] = None) -> int:
+    """The cluster size :func:`hierarchical_graph` uses, or why there is none.
+
+    ``None`` picks :func:`default_cluster_size`; an explicit size must
+    divide ``num_agents``, which must be at least 4.
+    """
+    if num_agents < 4:
+        raise ValueError("hierarchical gossip needs at least 4 agents")
+    c = default_cluster_size(num_agents) if cluster_size is None else int(cluster_size)
+    if c < 1 or num_agents % c != 0:
+        raise ValueError(
+            f"cluster_size must be a positive divisor of num_agents, got {c} "
+            f"for {num_agents} agents"
+        )
+    return c
+
+
 def hierarchical_graph(
     num_agents: int,
     cluster_size: Optional[int] = None,
@@ -223,14 +242,7 @@ def hierarchical_graph(
     ``cluster_size`` must divide ``num_agents``; ``None`` picks
     :func:`default_cluster_size`.
     """
-    if num_agents < 4:
-        raise ValueError("hierarchical gossip needs at least 4 agents")
-    c = default_cluster_size(num_agents) if cluster_size is None else int(cluster_size)
-    if c < 1 or num_agents % c != 0:
-        raise ValueError(
-            f"cluster_size must be a positive divisor of num_agents, got {c} "
-            f"for {num_agents} agents"
-        )
+    c = resolve_cluster_size(num_agents, cluster_size)
     k = num_agents // c
     if k < 1:
         raise ValueError("need at least one cluster")

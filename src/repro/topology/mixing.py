@@ -50,7 +50,7 @@ only needs matrix–vector products.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import networkx as nx
 import numpy as np
@@ -314,7 +314,7 @@ def validate_mixing_matrix(
     stochasticity (non-negative entries, rows and columns summing to 1).
     These are the properties gossip averaging relies on — without them the
     ``W @ X`` step would not preserve the network-average model, and the
-    loop and vectorized engines could silently disagree.
+    round would silently disagree with the per-agent gossip it stands for.
     :class:`~repro.topology.graphs.Topology` validates at construction and
     :class:`~repro.core.base.DecentralizedAlgorithm` re-validates at
     algorithm construction, so a matrix mutated in between fails fast.
@@ -424,6 +424,62 @@ class MixingOperator:
         if self._f32_matrix is None:
             self._f32_matrix = self.matrix.astype(np.float32)
         return self._f32_matrix
+
+    def directed_edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(receivers, senders, weights)`` of every positive off-diagonal ``w_ij``.
+
+        Entries come in row-major order, i.e. the order of
+        :meth:`~repro.topology.graphs.Topology.directed_pairs`: edge ``k``
+        is the channel on which agent ``receivers[k]`` hears from
+        ``senders[k]`` with weight ``weights[k]``.
+        """
+        if self.format == "csr":
+            counts = np.diff(self.matrix.indptr)
+            rows = np.repeat(np.arange(self.num_agents), counts)
+            cols, values = self.matrix.indices, self.matrix.data
+        else:
+            rows, cols = np.nonzero(self.matrix)
+            values = self.matrix[rows, cols]
+        keep = (rows != cols) & (values > 0.0)
+        return rows[keep], cols[keep], values[keep]
+
+    def without_edges(self, delivered: Optional[np.ndarray]) -> "MixingOperator":
+        """``W`` after message loss: dropped weights move onto the diagonal.
+
+        ``delivered`` holds one flag per directed edge in
+        :meth:`directed_edges` order.  Every undelivered ``w_ij`` is removed
+        and each diagonal becomes ``1 - sum`` of the row's kept off-diagonal
+        weights, so a row stays a convex combination of what arrived and a
+        lost message never shrinks a model.  With every edge dropped the
+        result is exactly the identity.  Same storage format as ``self``.
+        ``None`` (a loss-free exchange) returns ``self`` unchanged.
+        """
+        if delivered is None:
+            return self
+        rows, cols, values = self.directed_edges()
+        delivered = np.asarray(delivered, dtype=bool)
+        if delivered.shape != rows.shape:
+            raise ValueError(
+                f"expected {rows.size} delivery flags, got shape {delivered.shape}"
+            )
+        rows, cols, values = rows[delivered], cols[delivered], values[delivered]
+        n = self.num_agents
+        diagonal = 1.0 - np.bincount(rows, weights=values, minlength=n)
+        agents = np.arange(n)
+        if self.format == "csr":
+            return MixingOperator(
+                sp.csr_array(
+                    (
+                        np.concatenate([values, diagonal]),
+                        (np.concatenate([rows, agents]), np.concatenate([cols, agents])),
+                    ),
+                    shape=(n, n),
+                )
+            )
+        matrix = np.zeros((n, n), dtype=np.float64)
+        matrix[rows, cols] = values
+        matrix[agents, agents] = diagonal
+        return MixingOperator(matrix)
 
     def apply(self, rows: np.ndarray) -> np.ndarray:
         """One gossip step for a stack of vectors: ``W @ rows``.

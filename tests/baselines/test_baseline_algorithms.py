@@ -165,9 +165,9 @@ class TestNetFleetSpecifics:
     def test_tracking_variables_initialised_on_first_round(self):
         model, topology, shards, _ = build_components()
         algorithm = make_baseline("DP-NET-FLEET", model, topology, shards)
-        assert all(np.all(t == 0) for t in algorithm.tracking)
+        assert all(np.all(t == 0) for t in algorithm.tracking_state)
         algorithm.run_round()
-        assert any(np.linalg.norm(t) > 0 for t in algorithm.tracking)
+        assert any(np.linalg.norm(t) > 0 for t in algorithm.tracking_state)
 
     def test_local_steps_respected(self):
         model, topology, shards, _ = build_components()

@@ -30,7 +30,7 @@ def run_to_artifact(tmp_path, name: str, filters=("shapley", "noise")):
 def test_list_exits_zero(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    assert "engine/round" in out and "gossip/sparse" in out
+    assert "engine/round-streamed" in out and "gossip/sparse" in out
 
 
 def test_run_emits_schema_versioned_artifact(tmp_path, fast_knobs):

@@ -107,7 +107,7 @@ class TestRegistry:
     def test_builtin_suites_are_registered(self):
         names = registered_benchmarks()
         for expected in (
-            "engine/round",
+            "engine/round-streamed",
             "gossip/compressed",
             "gossip/sparse",
             "gossip/scaling-sweep",
@@ -137,7 +137,7 @@ class TestRegistry:
 
             @benchmark
             class Duplicate(Benchmark):  # noqa: F811 - deliberately clashing
-                name = "engine/round"
+                name = "engine/round-streamed"
 
                 def run(self):
                     return {}

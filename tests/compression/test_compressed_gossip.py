@@ -1,11 +1,13 @@
-"""End-to-end compressed gossip: engines, traffic, intervals, peer selection.
+"""End-to-end compressed gossip: reference agreement, traffic, intervals, peer selection.
 
 The codec kernels are property-tested in
 ``tests/properties/test_property_compression.py``; here the full
 communication stack runs under compression:
 
-* loop and vectorized engines follow the same trajectory and account the
-  same traffic for every lossy codec;
+* the round engine follows the per-agent reference round
+  (``tests/reference_rounds.py``, which encodes through
+  ``CompressionState.compress_row``) for every lossy codec, and accounts
+  every gossip message at the codec's encoded size;
 * ``communication_interval`` skips gossip (and its traffic) on off-rounds;
 * ``shift_one`` replaces the topology with the rotating matching of the
   circle method (Bagua's low-precision peer selection);
@@ -27,6 +29,8 @@ from repro.simulation.runner import EvaluationConfig, run_decentralized
 from repro.topology.graphs import ring_graph
 from repro.topology.schedule import ShiftOneSchedule, churn_schedule
 
+from tests.reference_rounds import reference_round
+
 NUM_AGENTS = 5
 ROUNDS = 4
 
@@ -38,7 +42,7 @@ LOSSY_CODECS = [
 ]
 
 
-def build(algorithm="DMSGD", backend="vectorized", compression=None, num_agents=NUM_AGENTS):
+def build(algorithm="DMSGD", compression=None, num_agents=NUM_AGENTS):
     topology = ring_graph(num_agents)
     data = make_classification_dataset(
         400, num_features=8, num_classes=4, cluster_std=0.6, seed=1
@@ -54,7 +58,6 @@ def build(algorithm="DMSGD", backend="vectorized", compression=None, num_agents=
         clip_threshold=1.0,
         batch_size=16,
         seed=7,
-        backend=backend,
         compression=compression,
     )
     if algorithm == "PDSL":
@@ -65,8 +68,8 @@ def build(algorithm="DMSGD", backend="vectorized", compression=None, num_agents=
     return DMSGD(net, topology, shards, config), data
 
 
-def run_history(algorithm, backend, compression):
-    instance, data = build(algorithm, backend, compression)
+def run_history(algorithm, compression):
+    instance, data = build(algorithm, compression)
     test = data.sample(80, np.random.default_rng(2))
     history = run_decentralized(
         instance,
@@ -76,49 +79,60 @@ def run_history(algorithm, backend, compression):
     return instance, history
 
 
+def run_reference(algorithm, compression):
+    instance, _ = build(algorithm, compression)
+    for _ in range(ROUNDS):
+        reference_round(instance)
+    return instance
+
+
+def assert_matches_reference(engine, reference):
+    np.testing.assert_allclose(engine.state, reference.state, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(
+        engine.momentum_state, reference.momentum_state, rtol=1e-9, atol=1e-12
+    )
+    # Error-feedback residuals are part of the trajectory too.
+    engine_res = engine._compression_state._residuals
+    reference_res = reference._compression_state._residuals
+    assert sorted(engine_res) == sorted(reference_res)
+    for channel in engine_res:
+        np.testing.assert_allclose(
+            engine_res[channel], reference_res[channel], rtol=1e-9, atol=1e-12
+        )
+
+
+#: The gossip exchange's tag (PDSL also exchanges dense models and
+#: cross-gradients before it).
+GOSSIP_TAG = {"DMSGD": "model", "PDSL": "mix"}
+
+
 @pytest.mark.parametrize("compression", LOSSY_CODECS, ids=lambda c: c["codec"])
 @pytest.mark.parametrize("algorithm", ["DMSGD", "PDSL"])
-class TestCompressedEngineEquivalence:
-    """Both engines must agree under every lossy codec (incl. tuple channels)."""
+class TestCompressedReferenceEquivalence:
+    """The blocked codec path must follow per-agent encoding (incl. tuple channels)."""
 
-    def test_trajectories_match(self, algorithm, compression):
-        loop_alg, loop_history = run_history(algorithm, "loop", compression)
-        vec_alg, vec_history = run_history(algorithm, "vectorized", compression)
-        assert loop_alg.backend == "loop"
-        assert vec_alg.backend == "vectorized"
-        for rec_a, rec_b in zip(loop_history.records, vec_history.records):
-            assert rec_a.average_train_loss == pytest.approx(
-                rec_b.average_train_loss, rel=1e-9, abs=1e-12
-            )
-            assert rec_a.test_accuracy == pytest.approx(rec_b.test_accuracy, abs=1e-12)
-        np.testing.assert_allclose(loop_alg.state, vec_alg.state, rtol=1e-9, atol=1e-12)
-        # Error-feedback residuals are part of the trajectory too.
-        loop_res = loop_alg._compression_state._residuals
-        vec_res = vec_alg._compression_state._residuals
-        assert sorted(loop_res) == sorted(vec_res)
-        for channel in loop_res:
-            np.testing.assert_allclose(
-                loop_res[channel], vec_res[channel], rtol=1e-9, atol=1e-12
-            )
+    def test_trajectories_match_reference(self, algorithm, compression):
+        engine, _ = run_history(algorithm, compression)
+        assert_matches_reference(engine, run_reference(algorithm, compression))
 
-    def test_traffic_accounting_matches_exactly(self, algorithm, compression):
-        loop_alg, _ = run_history(algorithm, "loop", compression)
-        vec_alg, _ = run_history(algorithm, "vectorized", compression)
-        loop_traffic = loop_alg.network.traffic_summary()
-        vec_traffic = vec_alg.network.traffic_summary()
-        assert loop_traffic["messages_sent"] == vec_traffic["messages_sent"]
-        assert loop_traffic["floats_sent"] == vec_traffic["floats_sent"]
-        assert loop_traffic["bytes_sent"] == vec_traffic["bytes_sent"]
-        assert loop_traffic["traffic_by_tag"] == vec_traffic["traffic_by_tag"]
-        assert loop_traffic["bytes_by_tag"] == vec_traffic["bytes_by_tag"]
+    def test_gossip_traffic_is_accounted_at_the_encoded_size(
+        self, algorithm, compression
+    ):
+        engine, _ = run_history(algorithm, compression)
+        values, wire_bytes = engine.gossip_wire_cost(engine.num_gossip_channels)
+        messages = ROUNDS * engine.topology.num_directed_edges
+        traffic = engine.network.traffic_summary()
+        tag = GOSSIP_TAG[algorithm]
+        assert traffic["traffic_by_tag"][tag] == messages * values
+        assert traffic["bytes_by_tag"][tag] == messages * wire_bytes
+        assert wire_bytes < 8 * engine.dimension * engine.num_gossip_channels
 
 
 class TestCommunicationInterval:
-    @pytest.mark.parametrize("backend", ["loop", "vectorized"])
-    def test_interval_halves_gossip_traffic(self, backend):
-        every, _ = run_history("DMSGD", backend, {"codec": "int8"})
+    def test_interval_halves_gossip_traffic(self):
+        every, _ = run_history("DMSGD", {"codec": "int8"})
         strided, _ = run_history(
-            "DMSGD", backend, {"codec": "int8", "communication_interval": 2}
+            "DMSGD", {"codec": "int8", "communication_interval": 2}
         )
         # ROUNDS = 4: gossip fires on rounds 0 and 2 only — exactly half.
         assert strided.network.bytes_sent * 2 == every.network.bytes_sent
@@ -132,11 +146,10 @@ class TestCommunicationInterval:
         assert not np.array_equal(instance.state, before)
         assert instance.gossip_now(0) and not instance.gossip_now(1)
 
-    def test_interval_trajectory_engine_equivalence(self):
+    def test_interval_trajectory_matches_reference(self):
         compression = {"codec": "topk", "k": 3, "communication_interval": 2}
-        loop_alg, _ = run_history("DMSGD", "loop", compression)
-        vec_alg, _ = run_history("DMSGD", "vectorized", compression)
-        np.testing.assert_allclose(loop_alg.state, vec_alg.state, rtol=1e-9, atol=1e-12)
+        engine, _ = run_history("DMSGD", compression)
+        assert_matches_reference(engine, run_reference("DMSGD", compression))
 
 
 class TestShiftOnePeerSelection:
@@ -166,14 +179,14 @@ class TestShiftOnePeerSelection:
             np.testing.assert_allclose(w.sum(axis=1), 1.0)
             np.testing.assert_array_equal(w, w.T)
 
-    def test_shift_one_runs_on_both_engines(self):
+    def test_shift_one_matches_reference(self):
         compression = {"codec": "int8", "peer_selection": "shift_one"}
-        loop_alg, _ = run_history("DMSGD", "loop", compression)
-        vec_alg, _ = run_history("DMSGD", "vectorized", compression)
-        assert isinstance(loop_alg.schedule, ShiftOneSchedule)
-        np.testing.assert_allclose(loop_alg.state, vec_alg.state, rtol=1e-9, atol=1e-12)
-        assert (
-            loop_alg.network.traffic_summary() == vec_alg.network.traffic_summary()
+        engine, _ = run_history("DMSGD", compression)
+        assert isinstance(engine.schedule, ShiftOneSchedule)
+        assert_matches_reference(engine, run_reference("DMSGD", compression))
+        # A matching: every active pair exchanges once each way per round.
+        assert engine.network.messages_sent == sum(
+            engine.schedule.topology_at(r).num_directed_edges for r in range(ROUNDS)
         )
 
     def test_shift_one_rejects_dynamic_topologies(self):
@@ -194,9 +207,9 @@ class TestShiftOnePeerSelection:
 
 class TestWireByteReduction:
     def test_topk_cuts_bytes_at_least_4x(self):
-        dense, _ = run_history("DMSGD", "vectorized", None)
+        dense, _ = run_history("DMSGD", None)
         # d = 8 * 4 + 4 = 36 -> k = d // 10 = 3: 36 B/message vs 288 B dense.
-        topk, _ = run_history("DMSGD", "vectorized", {"codec": "topk"})
+        topk, _ = run_history("DMSGD", {"codec": "topk"})
         assert dense.network.bytes_sent >= 4 * topk.network.bytes_sent
         # The float accounting (legacy metric) still reflects the sparsity.
         assert dense.network.floats_sent > topk.network.floats_sent

@@ -20,6 +20,11 @@ class NoOpAlgorithm(DecentralizedAlgorithm):
         pass
 
 
+def draw_batches(algorithm):
+    """One fresh mini-batch per agent from its own sampler."""
+    return [sampler.next_batch() for sampler in algorithm.samplers]
+
+
 @pytest.fixture
 def components():
     data = make_classification_dataset(200, num_features=6, num_classes=4, seed=0)
@@ -93,10 +98,10 @@ class TestGradientHelpers:
         v = np.zeros(algorithm.dimension)
         assert not np.allclose(algorithm.privatize(0, v), algorithm.privatize(1, v))
 
-    def test_draw_batches_one_per_agent(self, components):
+    def test_samplers_draw_one_batch_per_agent(self, components):
         model, topology, shards, config, _ = components
         algorithm = NoOpAlgorithm(model, topology, shards, config)
-        batches = algorithm.draw_batches()
+        batches = draw_batches(algorithm)
         assert len(batches) == 4
         for x, y in batches:
             assert x.shape[0] == y.shape[0] <= 16
@@ -264,17 +269,28 @@ class TestVectorizedHelpers:
         model, topology, shards, _, _ = components
         config = AlgorithmConfig(sigma=0.0, clip_threshold=100.0, batch_size=16, seed=3)
         algorithm = NoOpAlgorithm(model, topology, shards, config)
-        batches = algorithm.draw_batches()
+        batches = draw_batches(algorithm)
         cross, pair_rows = algorithm.fleet_cross_gradients(batches)
         assert set(pair_rows) == set(algorithm.topology.directed_pairs())
         for (i, j), row in pair_rows.items():
             expected = algorithm.local_gradient(i, algorithm.state[j], batches[i])
             np.testing.assert_allclose(cross[row], expected, rtol=1e-10, atol=1e-12)
 
+    def test_fleet_cross_gradients_skip_undelivered_models(self, components):
+        model, topology, shards, config, _ = components
+        algorithm = NoOpAlgorithm(model, topology, shards, config)
+        pairs = algorithm.topology.directed_pairs()
+        delivered = np.arange(len(pairs)) % 3 != 0
+        cross, pair_rows = algorithm.fleet_cross_gradients(
+            draw_batches(algorithm), delivered
+        )
+        assert list(pair_rows) == [p for p, ok in zip(pairs, delivered) if ok]
+        assert cross.shape == (int(delivered.sum()), algorithm.dimension)
+
     def test_fleet_gradients_matches_local_gradient(self, components):
         model, topology, shards, config, _ = components
         algorithm = NoOpAlgorithm(model, topology, shards, config)
-        batches = algorithm.draw_batches()
+        batches = draw_batches(algorithm)
         fleet = algorithm.fleet_gradients(algorithm.state, batches)
         for agent in range(4):
             expected = algorithm.local_gradient(agent, algorithm.state[agent], batches[agent])
@@ -283,7 +299,7 @@ class TestVectorizedHelpers:
     def test_fleet_gradients_handles_ragged_batches(self, components):
         model, topology, shards, config, _ = components
         algorithm = NoOpAlgorithm(model, topology, shards, config)
-        batches = algorithm.draw_batches()
+        batches = draw_batches(algorithm)
         # Truncate one batch so the stacked path cannot apply.
         inputs, labels = batches[2]
         batches[2] = (inputs[:5], labels[:5])
@@ -309,6 +325,25 @@ class TestVectorizedHelpers:
         expected_messages = algorithm.topology.num_directed_edges
         assert summary["messages_sent"] == expected_messages
         assert summary["floats_sent"] == expected_messages * algorithm.dimension
+
+    def test_record_fleet_exchange_masks_only_sent_messages(self, components):
+        from repro.simulation.network import Network
+
+        model, topology, shards, config, _ = components
+        algorithm = NoOpAlgorithm(model, topology, shards, config)
+        # A loss-free network draws nothing and returns no mask.
+        assert algorithm.record_fleet_exchange("model", algorithm.dimension) is None
+        algorithm.network = Network(4, drop_probability=0.5, rng=np.random.default_rng(2))
+        edges = algorithm.topology.num_directed_edges
+        sent = np.arange(edges) % 2 == 0
+        delivered = algorithm.record_fleet_exchange("reply", 3, sent=sent)
+        assert delivered.shape == (edges,)
+        assert not delivered[~sent].any()
+        expected = np.random.default_rng(2).random(int(sent.sum())) >= 0.5
+        np.testing.assert_array_equal(delivered[sent], expected)
+        summary = algorithm.network.traffic_summary()
+        assert summary["traffic_by_tag"]["reply"] == 3 * int(sent.sum())
+        assert summary["messages_dropped"] == int((~expected).sum())
 
     def test_average_train_loss_stacked_matches_per_agent_reference(self, components):
         model, topology, shards, config, _ = components
@@ -338,7 +373,7 @@ class TestVectorizedHelpers:
         model, topology, shards, config, _ = components
         a = NoOpAlgorithm(model, topology, shards, config)
         b = NoOpAlgorithm(model, topology, shards, config)
-        a.draw_batches()  # advancing training streams must not perturb evaluation
+        draw_batches(a)  # advancing training streams must not perturb evaluation
         assert a.average_train_loss(max_samples_per_agent=8) == b.average_train_loss(
             max_samples_per_agent=8
         )

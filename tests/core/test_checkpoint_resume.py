@@ -1,4 +1,4 @@
-"""Checkpoint/resume bit-identity for every algorithm on both engines.
+"""Checkpoint/resume bit-identity for every algorithm.
 
 The contract under test: interrupting a run at any round boundary, persisting
 ``state_dict()`` (through a real on-disk checkpoint), rebuilding the
@@ -23,6 +23,8 @@ from repro.core.config import (
 from repro.core.pdsl import PDSL
 from repro.data.partition import partition_dirichlet
 from repro.data.synthetic import make_classification_dataset
+from repro.nn.layers import Dense, Dropout, ReLU
+from repro.nn.model import Sequential
 from repro.nn.zoo import make_linear_classifier
 from repro.simulation.checkpoint import latest_checkpoint
 from repro.simulation.metrics import histories_equal
@@ -43,10 +45,14 @@ ALGORITHMS = {
     "PDSL": (PDSL, PDSLConfig, {"momentum": 0.5, "shapley_permutations": 2}),
 }
 
-BACKENDS = ("loop", "vectorized")
+def dropout_mlp():
+    rng = np.random.default_rng(0)
+    return Sequential(
+        [Dense(6, 8, rng), ReLU(), Dropout(0.3, np.random.default_rng(5)), Dense(8, 3, rng)]
+    )
 
 
-def build_algorithm(name, backend, dynamic=False, compression=None):
+def build_algorithm(name, dynamic=False, compression=None, model=None, dtype="float64"):
     """A small but complete instance (noise on, momentum on where supported)."""
     cls, config_cls, extra = ALGORITHMS[name]
     topology = ring_graph(NUM_AGENTS)
@@ -66,15 +72,15 @@ def build_algorithm(name, backend, dynamic=False, compression=None):
     ).shards
     validation = data.sample(40, rng)
     test = data.sample(60, np.random.default_rng(2))
-    model = make_linear_classifier(6, 3, seed=0)
+    model = make_linear_classifier(6, 3, seed=0) if model is None else model()
     config = config_cls(
         learning_rate=0.1,
         sigma=0.1,
         clip_threshold=1.0,
         batch_size=8,
         seed=7,
-        backend=backend,
         compression=compression,
+        dtype=dtype,
         **extra,
     )
     if cls is PDSL:
@@ -101,15 +107,14 @@ def assert_same_resumable_state(a, b):
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))
-def test_resume_bit_identical(name, backend, tmp_path):
+def test_resume_bit_identical(name, tmp_path):
     """T rounds straight == checkpoint at T/2 + resume, for every field."""
-    straight, test = build_algorithm(name, backend)
+    straight, test = build_algorithm(name)
     evaluation = EvaluationConfig(eval_every=1, test_data=test)
     history_straight = run_decentralized(straight, ROUNDS, evaluation=evaluation)
 
-    interrupted, test_b = build_algorithm(name, backend)
+    interrupted, test_b = build_algorithm(name)
     first_half = RunSession(
         interrupted,
         ROUNDS,
@@ -121,7 +126,7 @@ def test_resume_bit_identical(name, backend, tmp_path):
     checkpoint = latest_checkpoint(tmp_path)
     assert checkpoint is not None
 
-    resumed, test_c = build_algorithm(name, backend)
+    resumed, test_c = build_algorithm(name)
     second_half = RunSession.resume(
         resumed,
         checkpoint,
@@ -134,16 +139,15 @@ def test_resume_bit_identical(name, backend, tmp_path):
     assert_same_resumable_state(straight, resumed)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_resume_bit_identical_under_dynamic_schedule(backend, tmp_path):
+def test_resume_bit_identical_under_dynamic_schedule(tmp_path):
     """Resume restores the schedule position too (rewiring + stragglers)."""
-    straight, test = build_algorithm("DMSGD", backend, dynamic=True)
+    straight, test = build_algorithm("DMSGD", dynamic=True)
     history_straight = run_decentralized(
         straight, ROUNDS, evaluation=EvaluationConfig(test_data=test)
     )
     assert history_straight.event_counts(), "dynamics produced no events"
 
-    interrupted, test_b = build_algorithm("DMSGD", backend, dynamic=True)
+    interrupted, test_b = build_algorithm("DMSGD", dynamic=True)
     session = RunSession(
         interrupted,
         ROUNDS,
@@ -153,7 +157,7 @@ def test_resume_bit_identical_under_dynamic_schedule(backend, tmp_path):
     )
     session.run(max_rounds=HALF)
 
-    resumed, test_c = build_algorithm("DMSGD", backend, dynamic=True)
+    resumed, test_c = build_algorithm("DMSGD", dynamic=True)
     history_resumed = RunSession.resume(
         resumed,
         latest_checkpoint(tmp_path),
@@ -172,8 +176,7 @@ COMPRESSED = {
 }
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_resume_bit_identical_under_compression(backend, tmp_path):
+def test_resume_bit_identical_under_compression(tmp_path):
     """Residual buffers and the interval position ride through checkpoints.
 
     Top-k with error feedback and a communication interval of 2: the resume
@@ -182,11 +185,11 @@ def test_resume_bit_identical_under_compression(backend, tmp_path):
     resumed run gossips on the wrong rounds).  HALF = 2 lands the
     checkpoint exactly on an off-interval round, so both are exercised.
     """
-    straight, test = build_algorithm("DMSGD", backend, compression=COMPRESSED)
+    straight, test = build_algorithm("DMSGD", compression=COMPRESSED)
     evaluation = EvaluationConfig(eval_every=1, test_data=test)
     history_straight = run_decentralized(straight, ROUNDS, evaluation=evaluation)
 
-    interrupted, test_b = build_algorithm("DMSGD", backend, compression=COMPRESSED)
+    interrupted, test_b = build_algorithm("DMSGD", compression=COMPRESSED)
     session = RunSession(
         interrupted,
         ROUNDS,
@@ -196,7 +199,7 @@ def test_resume_bit_identical_under_compression(backend, tmp_path):
     )
     session.run(max_rounds=HALF)
 
-    resumed, test_c = build_algorithm("DMSGD", backend, compression=COMPRESSED)
+    resumed, test_c = build_algorithm("DMSGD", compression=COMPRESSED)
     history_resumed = RunSession.resume(
         resumed,
         latest_checkpoint(tmp_path),
@@ -216,16 +219,16 @@ def test_resume_bit_identical_under_compression(backend, tmp_path):
 
 def test_resume_restores_sparsifier_rng_streams():
     """random-k's per-agent coordinate streams continue bit-exactly."""
-    straight, _ = build_algorithm("DMSGD", "vectorized", compression={"codec": "randomk", "k": 2})
+    straight, _ = build_algorithm("DMSGD", compression={"codec": "randomk", "k": 2})
     for _ in range(ROUNDS):
         straight.run_round()
 
-    other, _ = build_algorithm("DMSGD", "vectorized", compression={"codec": "randomk", "k": 2})
+    other, _ = build_algorithm("DMSGD", compression={"codec": "randomk", "k": 2})
     for _ in range(HALF):
         other.run_round()
     payload = other.state_dict()
 
-    resumed, _ = build_algorithm("DMSGD", "vectorized", compression={"codec": "randomk", "k": 2})
+    resumed, _ = build_algorithm("DMSGD", compression={"codec": "randomk", "k": 2})
     resumed.load_state_dict(payload)
     for _ in range(ROUNDS - HALF):
         resumed.run_round()
@@ -237,31 +240,31 @@ def test_resume_restores_sparsifier_rng_streams():
 
 
 def test_load_state_dict_rejects_compression_mismatch():
-    compressed, _ = build_algorithm("DMSGD", "vectorized", compression=COMPRESSED)
+    compressed, _ = build_algorithm("DMSGD", compression=COMPRESSED)
     compressed.run_round()
-    plain, _ = build_algorithm("DMSGD", "vectorized")
+    plain, _ = build_algorithm("DMSGD")
     with pytest.raises(ValueError, match="compression"):
         plain.load_state_dict(compressed.state_dict())
     with pytest.raises(ValueError, match="compression"):
-        fresh, _ = build_algorithm("DMSGD", "vectorized", compression=COMPRESSED)
+        fresh, _ = build_algorithm("DMSGD", compression=COMPRESSED)
         fresh.load_state_dict(plain.state_dict())
-    other_codec, _ = build_algorithm("DMSGD", "vectorized", compression={"codec": "int8"})
+    other_codec, _ = build_algorithm("DMSGD", compression={"codec": "int8"})
     with pytest.raises(ValueError, match="codec"):
         other_codec.load_state_dict(compressed.state_dict())
 
 
 def test_resume_preserves_netfleet_tracking_state(tmp_path):
     """The gradient-tracking matrices ride through _extra_state exactly."""
-    straight, _ = build_algorithm("DP-NET-FLEET", "vectorized")
+    straight, _ = build_algorithm("DP-NET-FLEET")
     for _ in range(ROUNDS):
         straight.run_round()
 
-    other, _ = build_algorithm("DP-NET-FLEET", "vectorized")
+    other, _ = build_algorithm("DP-NET-FLEET")
     for _ in range(HALF):
         other.run_round()
     payload = other.state_dict()
 
-    resumed, _ = build_algorithm("DP-NET-FLEET", "vectorized")
+    resumed, _ = build_algorithm("DP-NET-FLEET")
     resumed.load_state_dict(payload)
     assert resumed._initialized
     for _ in range(ROUNDS - HALF):
@@ -272,13 +275,64 @@ def test_resume_preserves_netfleet_tracking_state(tmp_path):
     )
 
 
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_resume_bit_identical_with_dropout(name):
+    """Dropout layers' mask generators are resumable state like every stream."""
+    straight, _ = build_algorithm(name, model=dropout_mlp)
+    for _ in range(ROUNDS):
+        straight.run_round()
+
+    other, _ = build_algorithm(name, model=dropout_mlp)
+    for _ in range(HALF):
+        other.run_round()
+    payload = other.state_dict()
+
+    resumed, _ = build_algorithm(name, model=dropout_mlp)
+    resumed.load_state_dict(payload)
+    for _ in range(ROUNDS - HALF):
+        resumed.run_round()
+    np.testing.assert_array_equal(straight.state, resumed.state)
+    np.testing.assert_array_equal(straight.momentum_state, resumed.momentum_state)
+
+
+def test_checkpoint_without_dropout_streams_still_loads():
+    """Checkpoints written before dropout streams were captured restore."""
+    donor, _ = build_algorithm("DMSGD", model=dropout_mlp)
+    donor.run_round()
+    payload = donor.state_dict()
+    del payload["model_rng_states"]
+    recipient, _ = build_algorithm("DMSGD", model=dropout_mlp)
+    recipient.load_state_dict(payload)
+    np.testing.assert_array_equal(recipient.state, donor.state)
+    recipient.run_round()
+    assert np.isfinite(recipient.state).all()
+
+
+def test_float32_netfleet_resumes_with_float64_tracking():
+    """The tracking matrices keep their float64 dtype through a float32 resume."""
+    straight, _ = build_algorithm("DP-NET-FLEET", dtype="float32")
+    for _ in range(ROUNDS):
+        straight.run_round()
+
+    other, _ = build_algorithm("DP-NET-FLEET", dtype="float32")
+    for _ in range(HALF):
+        other.run_round()
+    resumed, _ = build_algorithm("DP-NET-FLEET", dtype="float32")
+    resumed.load_state_dict(other.state_dict())
+    assert resumed.tracking_state.dtype == np.float64
+    for _ in range(ROUNDS - HALF):
+        resumed.run_round()
+    np.testing.assert_array_equal(straight.state, resumed.state)
+    np.testing.assert_array_equal(straight.tracking_state, resumed.tracking_state)
+
+
 def test_resume_preserves_pdsl_diagnostics():
     """last_shapley / last_weights survive a round-trip unchanged."""
-    original, _ = build_algorithm("PDSL", "vectorized")
+    original, _ = build_algorithm("PDSL")
     for _ in range(2):
         original.run_round()
     payload = original.state_dict()
-    restored, _ = build_algorithm("PDSL", "vectorized")
+    restored, _ = build_algorithm("PDSL")
     restored.load_state_dict(payload)
     assert restored.last_shapley == original.last_shapley
     assert restored.last_weights == original.last_weights
@@ -286,7 +340,7 @@ def test_resume_preserves_pdsl_diagnostics():
 
 def test_state_dict_is_a_snapshot():
     """Later training must not mutate a previously captured state."""
-    algorithm, _ = build_algorithm("DMSGD", "vectorized")
+    algorithm, _ = build_algorithm("DMSGD")
     algorithm.run_round()
     payload = algorithm.state_dict()
     frozen = payload["state"].copy()
@@ -295,25 +349,25 @@ def test_state_dict_is_a_snapshot():
 
 
 def test_load_state_dict_rejects_wrong_algorithm():
-    donor, _ = build_algorithm("DMSGD", "vectorized")
-    recipient, _ = build_algorithm("DP-DPSGD", "vectorized")
+    donor, _ = build_algorithm("DMSGD")
+    recipient, _ = build_algorithm("DP-DPSGD")
     with pytest.raises(ValueError, match="written by algorithm"):
         recipient.load_state_dict(donor.state_dict())
 
 
 def test_load_state_dict_rejects_wrong_shape():
-    donor, _ = build_algorithm("DMSGD", "vectorized")
+    donor, _ = build_algorithm("DMSGD")
     payload = donor.state_dict()
     payload["num_agents"] = NUM_AGENTS + 1
-    recipient, _ = build_algorithm("DMSGD", "vectorized")
+    recipient, _ = build_algorithm("DMSGD")
     with pytest.raises(ValueError, match="fleet shape"):
         recipient.load_state_dict(payload)
 
 
 def test_load_state_dict_rejects_unknown_format():
-    donor, _ = build_algorithm("DMSGD", "vectorized")
+    donor, _ = build_algorithm("DMSGD")
     payload = donor.state_dict()
     payload["state_format"] = 999
-    recipient, _ = build_algorithm("DMSGD", "vectorized")
+    recipient, _ = build_algorithm("DMSGD")
     with pytest.raises(ValueError, match="state format"):
         recipient.load_state_dict(payload)

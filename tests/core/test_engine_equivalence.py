@@ -1,14 +1,14 @@
-"""Loop-vs-vectorized backend equivalence for every algorithm and topology.
+"""The round engine against the per-agent reference, for every algorithm and topology.
 
-The vectorized engine must be a pure performance optimisation: for a fixed
-seed it consumes exactly the same per-agent random streams (batch draws,
-Gaussian noise, Shapley permutations) as the loop backend, so the two
-backends produce the same ``TrainingHistory`` up to floating-point
-associativity of the re-ordered sums.
+The streamed round must compute what the paper's per-agent message passing
+computes: for a fixed seed it consumes exactly the same per-agent random
+streams (batch draws, Gaussian noise, Shapley permutations, dropout masks)
+as the compact reference in ``tests/reference_rounds.py``, so the two agree
+up to floating-point associativity of the re-ordered sums (rtol 1e-9).
 
 The sparse (CSR) mixing backend carries a *stronger* contract: it applies
 the same ``W`` with the same accumulation order as the dense kernel, so
-``mixing_backend="sparse"`` must reproduce the dense vectorized engine's
+``mixing_backend="sparse"`` must reproduce the dense engine's
 ``TrainingHistory`` **bit for bit** (asserted with exact equality below).
 """
 
@@ -27,6 +27,9 @@ from repro.core.pdsl import PDSL
 from repro.data.partition import partition_dirichlet
 from repro.data.synthetic import make_classification_dataset
 from repro.nn.zoo import make_linear_classifier, make_mlp
+from repro.nn.layers import Dense, Dropout, ReLU
+from repro.nn.model import Sequential
+from repro.simulation.network import Network
 from repro.simulation.runner import EvaluationConfig, run_decentralized
 from repro.topology.graphs import (
     bipartite_graph,
@@ -34,6 +37,8 @@ from repro.topology.graphs import (
     ring_graph,
     torus_graph,
 )
+
+from tests.reference_rounds import reference_round
 
 NUM_AGENTS = 5
 ROUNDS = 3
@@ -56,7 +61,6 @@ TOPOLOGIES = {
 
 def build_algorithm(
     name,
-    backend,
     topology_name=None,
     sigma=0.1,
     model="linear",
@@ -77,6 +81,11 @@ def build_algorithm(
     test = data.sample(80, np.random.default_rng(2))
     if model == "linear":
         net = make_linear_classifier(8, 4, seed=0)
+    elif model == "dropout":
+        rng = np.random.default_rng(0)
+        net = Sequential(
+            [Dense(8, 16, rng), ReLU(), Dropout(0.3, np.random.default_rng(5)), Dense(16, 4, rng)]
+        )
     else:
         net = make_mlp(8, 4, hidden_sizes=(8,), seed=0)
     config = config_cls(
@@ -85,7 +94,6 @@ def build_algorithm(
         clip_threshold=1.0,
         batch_size=16,
         seed=7,
-        backend=backend,
         mixing_backend=mixing_backend,
         compression=compression,
         **extra,
@@ -97,8 +105,8 @@ def build_algorithm(
     return algorithm, test
 
 
-def run_history(name, backend, topology_name, **kwargs):
-    algorithm, test = build_algorithm(name, backend, topology_name, **kwargs)
+def run_history(name, topology_name, **kwargs):
+    algorithm, test = build_algorithm(name, topology_name, **kwargs)
     history = run_decentralized(
         algorithm,
         num_rounds=ROUNDS,
@@ -107,106 +115,102 @@ def run_history(name, backend, topology_name, **kwargs):
     return algorithm, history
 
 
-def assert_histories_equivalent(history_a, history_b):
-    assert len(history_a) == len(history_b)
-    for rec_a, rec_b in zip(history_a.records, history_b.records):
-        assert rec_a.round == rec_b.round
-        assert rec_a.average_train_loss == pytest.approx(
-            rec_b.average_train_loss, rel=1e-9, abs=1e-12
-        )
-        assert rec_a.test_accuracy == pytest.approx(rec_b.test_accuracy, abs=1e-12)
-        assert rec_a.consensus == pytest.approx(rec_b.consensus, rel=1e-6, abs=1e-12)
-    assert history_a.final_test_accuracy == pytest.approx(
-        history_b.final_test_accuracy, abs=1e-12
-    )
+def fleet_matrices(algorithm):
+    """Every per-agent matrix a round updates."""
+    matrices = [algorithm.state, algorithm.momentum_state]
+    if hasattr(algorithm, "tracking_state"):
+        matrices += [algorithm.tracking_state, algorithm.previous_gradient_state]
+    return [np.array(matrix) for matrix in matrices]
+
+
+def assert_matches_reference(name, topology_name=None, rounds=ROUNDS, **kwargs):
+    """Run the engine and the per-agent reference side by side, round by round."""
+    engine, _ = build_algorithm(name, topology_name, **kwargs)
+    reference, _ = build_algorithm(name, topology_name, **kwargs)
+    for round_index in range(rounds):
+        engine.run_round()
+        reference_round(reference)
+        for got, expected in zip(fleet_matrices(engine), fleet_matrices(reference)):
+            np.testing.assert_allclose(
+                got, expected, rtol=1e-9, atol=1e-12, err_msg=f"round {round_index}"
+            )
+    return engine, reference
+
+
+#: Messages per directed edge and round, by tag, and the payload streams
+#: each carries (PDSL gossips a (momentum, model) pair, NET-FLEET a
+#: (model, tracking) pair).
+EXCHANGES = {
+    "DP-DPSGD": {"model": 1},
+    "DMSGD": {"model": 1},
+    "MUFFLIATO": {"gossip_0": 1, "gossip_1": 1},
+    "DP-CGA": {"model": 1, "cross_grad": 1, "mix": 1},
+    "DP-NET-FLEET": {"state": 2},
+    "PDSL": {"model": 1, "cross_grad": 1, "mix": 2},
+}
 
 
 @pytest.mark.parametrize("topology_name", sorted(TOPOLOGIES))
 @pytest.mark.parametrize("algorithm_name", sorted(ALGORITHMS))
-class TestBackendEquivalence:
-    def test_identical_training_history(self, algorithm_name, topology_name):
-        loop_alg, loop_history = run_history(algorithm_name, "loop", topology_name)
-        vec_alg, vec_history = run_history(algorithm_name, "vectorized", topology_name)
-        assert loop_alg.backend == "loop"
-        assert vec_alg.backend == "vectorized"
-        assert_histories_equivalent(loop_history, vec_history)
-        np.testing.assert_allclose(
-            loop_alg.state, vec_alg.state, rtol=1e-9, atol=1e-12
-        )
+class TestReferenceEquivalence:
+    def test_engine_matches_reference(self, algorithm_name, topology_name):
+        assert_matches_reference(algorithm_name, topology_name)
 
-    def test_identical_traffic_accounting(self, algorithm_name, topology_name):
-        loop_alg, _ = run_history(algorithm_name, "loop", topology_name)
-        vec_alg, _ = run_history(algorithm_name, "vectorized", topology_name)
-        loop_traffic = loop_alg.network.traffic_summary()
-        vec_traffic = vec_alg.network.traffic_summary()
-        assert loop_traffic["messages_sent"] == vec_traffic["messages_sent"]
-        assert loop_traffic["floats_sent"] == vec_traffic["floats_sent"]
-        assert loop_traffic["traffic_by_tag"] == vec_traffic["traffic_by_tag"]
+    def test_traffic_accounting_counts_every_exchange(
+        self, algorithm_name, topology_name
+    ):
+        algorithm, _ = run_history(algorithm_name, topology_name)
+        edges = algorithm.topology.num_directed_edges
+        dimension = algorithm.dimension
+        traffic = algorithm.network.traffic_summary()
+        channels = EXCHANGES[algorithm_name]
+        assert traffic["traffic_by_tag"] == {
+            tag: ROUNDS * edges * dimension * count for tag, count in channels.items()
+        }
+        assert traffic["messages_sent"] == ROUNDS * edges * len(channels)
+        assert traffic["messages_dropped"] == 0
 
 
-class TestBackendEquivalenceVariants:
-    """Extra equivalence coverage beyond the main grid."""
+class TestReferenceEquivalenceVariants:
+    """Extra reference coverage beyond the main grid."""
 
-    def test_mlp_stacked_path_matches_loop(self):
-        _, loop_history = run_history("DMSGD", "loop", "ring", model="mlp")
-        _, vec_history = run_history("DMSGD", "vectorized", "ring", model="mlp")
-        assert_histories_equivalent(loop_history, vec_history)
+    def test_mlp_stacked_path_matches_reference(self):
+        assert_matches_reference("DMSGD", "ring", model="mlp")
 
     def test_noise_free_trajectories_match(self):
-        loop_alg, loop_history = run_history("DP-DPSGD", "loop", "full", sigma=0.0)
-        vec_alg, vec_history = run_history("DP-DPSGD", "vectorized", "full", sigma=0.0)
-        assert_histories_equivalent(loop_history, vec_history)
-        np.testing.assert_allclose(loop_alg.state, vec_alg.state, rtol=1e-9, atol=1e-12)
+        assert_matches_reference("DP-DPSGD", "full", sigma=0.0)
 
-    def test_vectorized_backend_is_deterministic(self):
-        a, history_a = run_history("PDSL", "vectorized", "ring")
-        b, history_b = run_history("PDSL", "vectorized", "ring")
+    @pytest.mark.parametrize("algorithm_name", sorted(ALGORITHMS))
+    def test_dropout_model_matches_reference(self, algorithm_name):
+        # Dropout layers draw their masks from their own generator in the
+        # round's fixed phase order: own gradients, then cross-gradients.
+        assert_matches_reference(algorithm_name, "ring", model="dropout")
+
+    @pytest.mark.parametrize("algorithm_name", sorted(ALGORITHMS))
+    def test_compressed_gossip_matches_reference(self, algorithm_name):
+        assert_matches_reference(
+            algorithm_name,
+            "ring",
+            compression={"codec": "randomk", "k": 5, "communication_interval": 2},
+        )
+
+    def test_engine_is_deterministic(self):
+        a, history_a = run_history("PDSL", "ring")
+        b, history_b = run_history("PDSL", "ring")
         np.testing.assert_array_equal(a.state, b.state)
         assert history_a.losses == history_b.losses
 
-    def test_lossy_network_falls_back_to_loop(self):
-        from repro.simulation.network import Network
-
-        algorithm, _ = build_algorithm("DP-DPSGD", "vectorized", "full")
-        assert algorithm.backend == "vectorized"
+    def test_lossy_network_runs_on_the_engine(self):
+        algorithm, _ = build_algorithm("DP-DPSGD", "full")
         algorithm.network = Network(
             NUM_AGENTS, drop_probability=0.3, rng=np.random.default_rng(0)
         )
-        assert algorithm.backend == "loop"
-        algorithm.run_round()  # runs the loop path; messages actually flow
+        history = run_decentralized(algorithm, num_rounds=2)
+        assert history.metadata["backend"] == "vectorized"
         assert algorithm.network.messages_sent > 0
-
-    def test_stochastic_model_falls_back_to_loop(self):
-        # Dropout draws from one RNG stream shared across all forward
-        # passes; the vectorized engine's re-grouped evaluations would
-        # consume it in a different order, so such models must run on the
-        # loop engine under either backend setting.
-        from repro.core.config import AlgorithmConfig
-        from repro.data.partition import partition_iid
-        from repro.nn.layers import Dense, Dropout, ReLU
-        from repro.nn.model import Sequential
-
-        data = make_classification_dataset(200, num_features=8, num_classes=4, seed=0)
-        shards = partition_iid(data, NUM_AGENTS, np.random.default_rng(0)).shards
-        rng = np.random.default_rng(0)
-        model = Sequential(
-            [Dense(8, 16, rng), ReLU(), Dropout(0.5, np.random.default_rng(1)), Dense(16, 4, rng)]
-        )
-        config = AlgorithmConfig(sigma=0.1, batch_size=16, backend="vectorized")
-        algorithm = DPDPSGD(model, fully_connected_graph(NUM_AGENTS), shards, config)
-        assert algorithm.backend == "loop"
-        algorithm.run_round()
-        assert algorithm.network.messages_sent > 0  # the loop path really ran
-
-    def test_history_metadata_records_effective_backend(self):
-        from repro.simulation.network import Network
-
-        algorithm, test = build_algorithm("DP-DPSGD", "vectorized", "full")
-        algorithm.network = Network(
-            NUM_AGENTS, drop_probability=0.3, rng=np.random.default_rng(0)
-        )
-        history = run_decentralized(algorithm, num_rounds=1)
-        assert history.metadata["backend"] == "loop"
+        assert algorithm.network.messages_dropped > 0
+        assert algorithm.network.pending(0) == 0  # nothing goes through a mailbox
+        assert np.isfinite(algorithm.state).all()
 
 
 SPARSE_TOPOLOGIES = {
@@ -229,12 +233,11 @@ def assert_histories_identical(history_a, history_b):
 @pytest.mark.parametrize("topology_name", sorted(SPARSE_TOPOLOGIES))
 @pytest.mark.parametrize("algorithm_name", sorted(ALGORITHMS))
 class TestSparseMixingEquivalence:
-    """CSR gossip must reproduce the dense vectorized engine bit for bit."""
+    """CSR gossip must reproduce the dense engine bit for bit."""
 
     def run(self, algorithm_name, topology_name, mixing_backend):
         algorithm, test = build_algorithm(
             algorithm_name,
-            "vectorized",
             mixing_backend=mixing_backend,
             topology_factory=SPARSE_TOPOLOGIES[topology_name],
         )
@@ -265,15 +268,13 @@ class TestSparseMixingEquivalence:
 class TestScheduleEquivalence:
     """Topology schedules: static wrapping is free, dynamics preserve engine parity."""
 
-    @pytest.mark.parametrize("backend", ["loop", "vectorized"])
     @pytest.mark.parametrize("algorithm_name", sorted(ALGORITHMS))
-    def test_static_schedule_is_bit_identical(self, algorithm_name, backend):
+    def test_static_schedule_is_bit_identical(self, algorithm_name):
         from repro.topology.schedule import StaticSchedule
 
-        plain_alg, plain_history = run_history(algorithm_name, backend, "ring")
+        plain_alg, plain_history = run_history(algorithm_name, "ring")
         wrapped_alg, wrapped_history = run_history(
             algorithm_name,
-            backend,
             None,
             topology_factory=lambda: StaticSchedule(ring_graph(NUM_AGENTS)),
         )
@@ -302,36 +303,31 @@ class TestScheduleEquivalence:
         )
 
     @pytest.mark.parametrize("algorithm_name", sorted(ALGORITHMS))
-    def test_dynamic_schedule_backend_equivalence(self, algorithm_name):
-        """Churn + rewiring + stragglers: both engines stay RNG-stream equal."""
-        histories = {}
-        algorithms = {}
-        for backend in ("loop", "vectorized"):
-            algorithm, history = run_history(
-                algorithm_name,
-                backend,
-                None,
-                topology_factory=self.dynamic_schedule,
-            )
-            histories[backend] = history
-            algorithms[backend] = algorithm
-        assert algorithms["loop"].backend == "loop"
-        assert algorithms["vectorized"].backend == "vectorized"
-        assert_histories_equivalent(histories["loop"], histories["vectorized"])
-        np.testing.assert_allclose(
-            algorithms["loop"].state,
-            algorithms["vectorized"].state,
-            rtol=1e-9,
-            atol=1e-12,
+    def test_dynamic_schedule_matches_reference(self, algorithm_name):
+        """Churn + rewiring + stragglers: the engine stays RNG-stream equal."""
+        rounds = 5
+        engine, _ = assert_matches_reference(
+            algorithm_name, topology_factory=self.dynamic_schedule, rounds=rounds
         )
-        loop_traffic = algorithms["loop"].network.traffic_summary()
-        vec_traffic = algorithms["vectorized"].network.traffic_summary()
-        assert loop_traffic["messages_sent"] == vec_traffic["messages_sent"]
-        assert loop_traffic["floats_sent"] == vec_traffic["floats_sent"]
+        # Traffic follows each round's snapshot: departed agents and
+        # stragglers are isolated nodes, failed edges carry nothing.
+        edges = sum(
+            engine.schedule.topology_at(r).num_directed_edges for r in range(rounds)
+        )
+        channels = EXCHANGES[algorithm_name]
+        traffic = engine.network.traffic_summary()
+        assert traffic["traffic_by_tag"] == {
+            tag: edges * engine.dimension * count for tag, count in channels.items()
+        }
+        assert traffic["messages_sent"] == edges * len(channels)
+        assert traffic["floats_sent"] == edges * engine.dimension * sum(
+            channels.values()
+        )
+        assert traffic["messages_dropped"] == 0
 
     def test_dynamic_run_records_events_and_masks(self):
         algorithm, history = run_history(
-            "DMSGD", "vectorized", None, topology_factory=self.dynamic_schedule
+            "DMSGD", None, topology_factory=self.dynamic_schedule
         )
         events = [e for record in history.records for e in record.topology_events]
         assert events, "a dynamic schedule must surface events in the history"
@@ -344,9 +340,7 @@ class TestScheduleEquivalence:
         from repro.topology.schedule import churn_schedule
 
         schedule = churn_schedule(ring_graph(6), churn_rate=0.5, rejoin_rate=0.3, seed=1)
-        algorithm, _ = build_algorithm(
-            "DMSGD", "vectorized", topology_factory=lambda: schedule
-        )
+        algorithm, _ = build_algorithm("DMSGD", topology_factory=lambda: schedule)
         for round_index in range(4):
             before = algorithm.state.copy()
             momentum_before = algorithm.momentum_state.copy()
@@ -360,22 +354,21 @@ class TestScheduleEquivalence:
             )
 
 
-@pytest.mark.parametrize("backend", ["loop", "vectorized"])
 @pytest.mark.parametrize("algorithm_name", sorted(ALGORITHMS))
 class TestIdentityCodecBitIdentity:
     """``compression={"codec": "identity"}`` must be a no-op, bit for bit.
 
     The compressed-gossip plumbing routes every exchanged payload through
-    :meth:`gossip_broadcast`/:meth:`compress_gossip_rows` even when the
-    codec is the identity; these regression cells pin the entire PR-5
-    baseline trajectory — history, final state, and traffic counters — for
-    every algorithm, on both engines, under static and dynamic topologies.
+    the codec stage even when the codec is the identity; these regression
+    cells pin the uncompressed trajectory — history, final state, and
+    traffic counters — for every algorithm, under static and dynamic
+    topologies.
     """
 
-    def test_static_topology_bit_identical(self, algorithm_name, backend):
-        plain_alg, plain_history = run_history(algorithm_name, backend, "ring")
+    def test_static_topology_bit_identical(self, algorithm_name):
+        plain_alg, plain_history = run_history(algorithm_name, "ring")
         codec_alg, codec_history = run_history(
-            algorithm_name, backend, "ring", compression={"codec": "identity"}
+            algorithm_name, "ring", compression={"codec": "identity"}
         )
         assert codec_alg.codec.is_identity
         assert_histories_identical(plain_history, codec_history)
@@ -387,14 +380,13 @@ class TestIdentityCodecBitIdentity:
             plain_alg.network.traffic_summary() == codec_alg.network.traffic_summary()
         )
 
-    def test_dynamic_topology_bit_identical(self, algorithm_name, backend):
+    def test_dynamic_topology_bit_identical(self, algorithm_name):
         factory = TestScheduleEquivalence.dynamic_schedule
         plain_alg, plain_history = run_history(
-            algorithm_name, backend, None, topology_factory=factory
+            algorithm_name, None, topology_factory=factory
         )
         codec_alg, codec_history = run_history(
             algorithm_name,
-            backend,
             None,
             topology_factory=factory,
             compression={"codec": "identity"},
@@ -408,27 +400,13 @@ class TestIdentityCodecBitIdentity:
 
 class TestSparseMixingVariants:
     def test_auto_selection_prefers_dense_for_small_fleets(self):
-        algorithm, _ = build_algorithm("DP-DPSGD", "vectorized", "ring")
+        algorithm, _ = build_algorithm("DP-DPSGD", "ring")
         assert algorithm.config.mixing_backend == "auto"
         assert algorithm.mixing.format == "dense"
 
     def test_sparse_override_respected_on_small_fleets(self):
-        algorithm, _ = build_algorithm(
-            "DP-DPSGD", "vectorized", "ring", mixing_backend="sparse"
-        )
+        algorithm, _ = build_algorithm("DP-DPSGD", "ring", mixing_backend="sparse")
         assert algorithm.mixing.format == "csr"
-
-    def test_sparse_mixing_with_loop_backend(self):
-        # The loop backend never applies the operator, but a sparse-stored
-        # topology must still serve neighbour queries and weights.
-        loop_alg, loop_history = run_history(
-            "DP-DPSGD", "loop", "ring", mixing_backend="sparse"
-        )
-        vec_alg, vec_history = run_history(
-            "DP-DPSGD", "vectorized", "ring", mixing_backend="sparse"
-        )
-        assert loop_alg.backend == "loop"
-        assert_histories_equivalent(loop_history, vec_history)
 
     def test_sparse_stored_topology_runs_end_to_end(self):
         from repro.core.config import AlgorithmConfig
@@ -438,7 +416,7 @@ class TestSparseMixingVariants:
         assert topology.mixing_is_sparse
         data = make_classification_dataset(640, num_features=8, num_classes=4, seed=0)
         shards = partition_iid(data, 80, np.random.default_rng(0)).shards
-        config = AlgorithmConfig(sigma=0.1, batch_size=8, backend="vectorized")
+        config = AlgorithmConfig(sigma=0.1, batch_size=8)
         algorithm = DPDPSGD(make_linear_classifier(8, 4, seed=0), topology, shards, config)
         assert algorithm.mixing.format == "csr"
         history = run_decentralized(algorithm, num_rounds=2)

@@ -1,13 +1,15 @@
 """The streamed round pipeline: bit-identity, parallel blocks, checkpoints.
 
-The vectorized engine always runs the round as a pipeline over row blocks;
+The round engine always runs the round as a pipeline over row blocks;
 ``block_rows`` only sizes the blocks (``None`` is the auto size, one block
 for these fleets), ``storage="memmap"`` moves the fleet matrices to disk and
 ``block_workers > 1`` runs blocks on threads.  Every per-agent random stream
 is pre-split and consumed once per round per agent, every kernel is
 row-wise, and parallel blocks touch disjoint rows — so every combination
 must equal the default ``block_rows=None`` run **bit for bit**, for every
-algorithm, on both engines.  These tests pin that contract, plus the
+algorithm, dropout models included.  These tests pin that contract, the
+agreement with the per-agent reference round (``tests/reference_rounds.py``),
+plus the
 scheduler's lifecycle and cross-mode checkpointing (a run started with small
 memmap blocks resumes in RAM at the default size and vice versa).
 """
@@ -27,10 +29,14 @@ from repro.core.config import (
 from repro.core.pdsl import PDSL
 from repro.data.partition import partition_dirichlet
 from repro.data.synthetic import make_classification_dataset
+from repro.nn.layers import Dense, Dropout, ReLU
+from repro.nn.model import Sequential
 from repro.nn.zoo import make_linear_classifier
 from repro.sharding import RoundScheduler
 from repro.simulation.runner import RunSession
 from repro.topology.graphs import ring_graph
+
+from tests.reference_rounds import reference_round
 
 NUM_AGENTS = 5
 ROUNDS = 3
@@ -45,7 +51,15 @@ ALGORITHMS = {
 }
 
 
-def build_algorithm(name, backend="vectorized", **config_overrides):
+def dropout_mlp():
+    """An MLP with a dropout layer: not stackable, draws masks from its own rng."""
+    rng = np.random.default_rng(0)
+    return Sequential(
+        [Dense(8, 16, rng), ReLU(), Dropout(0.3, np.random.default_rng(5)), Dense(16, 4, rng)]
+    )
+
+
+def build_algorithm(name, model=None, **config_overrides):
     cls, config_cls, extra = ALGORITHMS[name]
     topology = ring_graph(NUM_AGENTS)
     data = make_classification_dataset(
@@ -56,14 +70,13 @@ def build_algorithm(name, backend="vectorized", **config_overrides):
         min_samples_per_agent=8,
     ).shards
     validation = data.sample(60, np.random.default_rng(1))
-    net = make_linear_classifier(8, 4, seed=0)
+    net = make_linear_classifier(8, 4, seed=0) if model is None else model()
     config = config_cls(
         learning_rate=0.1,
         sigma=0.1,
         clip_threshold=1.0,
         batch_size=16,
         seed=7,
-        backend=backend,
         **{**extra, **config_overrides},
     )
     if cls is PDSL:
@@ -71,10 +84,13 @@ def build_algorithm(name, backend="vectorized", **config_overrides):
     return cls(net, topology, shards, config)
 
 
-def run_rounds(name, rounds=ROUNDS, **config_overrides):
-    algorithm = build_algorithm(name, **config_overrides)
+def run_rounds(name, rounds=ROUNDS, reference=False, **overrides):
+    algorithm = build_algorithm(name, **overrides)
     for round_index in range(rounds):
-        algorithm.step(round_index)
+        if reference:
+            reference_round(algorithm)
+        else:
+            algorithm.step(round_index)
     state = np.array(algorithm.state)
     momentum = np.array(algorithm.momentum_state)
     algorithm.close()
@@ -119,20 +135,23 @@ class TestStreamedBitIdentity:
         np.testing.assert_array_equal(momentum, default_baselines[name][1])
 
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
-    def test_loop_engine_blocked_matches_loop_default(self, name):
-        base_state, base_momentum = run_rounds(name, backend="loop")
-        state, momentum = run_rounds(
-            name, backend="loop", block_rows=2, storage="memmap"
-        )
-        np.testing.assert_array_equal(state, base_state)
-        np.testing.assert_array_equal(momentum, base_momentum)
+    def test_streamed_blocks_match_reference(self, name):
+        expected_state, expected_momentum = run_rounds(name, reference=True)
+        state, momentum = run_rounds(name, block_rows=2, storage="memmap")
+        np.testing.assert_allclose(state, expected_state, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(momentum, expected_momentum, rtol=1e-9, atol=1e-12)
 
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
-    def test_loop_engine_matches_streamed(self, name):
-        loop_state, loop_momentum = run_rounds(name, backend="loop")
-        state, momentum = run_rounds(name, block_rows=2, storage="memmap")
-        np.testing.assert_allclose(state, loop_state, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(momentum, loop_momentum, rtol=1e-9, atol=1e-12)
+    @pytest.mark.parametrize(
+        "layout",
+        [{"block_rows": 1}, {"block_rows": 2, "block_workers": 2}],
+        ids=["rows1", "rows2-workers2"],
+    )
+    def test_dropout_model_block_layout_matches_default(self, name, layout):
+        base_state, base_momentum = run_rounds(name, model=dropout_mlp)
+        state, momentum = run_rounds(name, model=dropout_mlp, **layout)
+        np.testing.assert_array_equal(state, base_state)
+        np.testing.assert_array_equal(momentum, base_momentum)
 
     @pytest.mark.parametrize(
         "compression",

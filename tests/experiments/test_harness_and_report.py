@@ -76,9 +76,8 @@ class TestComponentConstruction:
             )
 
     def test_unknown_topology_rejected(self):
-        spec = fast_spec(num_agents=4).with_updates(topology="moebius")
-        with pytest.raises(ValueError):
-            build_experiment_components(spec)
+        with pytest.raises(ValueError, match="unknown topology"):
+            fast_spec(num_agents=4).with_updates(topology="moebius")
 
     def test_image_dataset_flattened_for_dense_models(self):
         spec = fast_spec(num_agents=4, num_rounds=2).with_updates(

@@ -137,12 +137,30 @@ class TestScalingKnobs:
         assert spec.cluster_size is None
 
     def test_valid_knobs_accepted(self):
-        spec = fast_spec(topology="hierarchical").with_updates(
+        spec = fast_spec(num_agents=8, topology="hierarchical").with_updates(
             dtype="mixed", block_rows=4096, cluster_size=4
         )
         assert spec.dtype == "mixed"
         assert spec.block_rows == 4096
         assert spec.cluster_size == 4
+
+    @pytest.mark.parametrize(
+        "num_agents,topology,updates,match",
+        [
+            (6, "hierarchical", {"cluster_size": 4}, "divisor"),
+            (6, "torus", {}, "square"),
+            (4, "torus", {}, "side >= 3"),
+            (6, "hypercube", {}, "power-of-two"),
+            (6, "ring", {"dynamics": {"churn_rate": 0.1},
+                         "compression": {"peer_selection": "shift_one"}}, "shift_one"),
+        ],
+        ids=["cluster-divisor", "torus-square", "torus-side", "hypercube", "shift-one-dynamics"],
+    )
+    def test_unbuildable_combinations_rejected_at_parse(
+        self, num_agents, topology, updates, match
+    ):
+        with pytest.raises(ValueError, match=match):
+            fast_spec(num_agents=num_agents, topology=topology).with_updates(**updates)
 
     def test_unknown_dtype_rejected(self):
         with pytest.raises(ValueError, match="dtype"):
@@ -159,7 +177,7 @@ class TestScalingKnobs:
     def test_knobs_survive_serialization(self):
         from repro.experiments.specs import spec_from_dict, spec_to_dict
 
-        spec = fast_spec(topology="hierarchical").with_updates(
+        spec = fast_spec(num_agents=8, topology="hierarchical").with_updates(
             dtype="float32", block_rows=128, cluster_size=4
         )
         restored = spec_from_dict(spec_to_dict(spec))
@@ -174,7 +192,7 @@ class TestTimeModelField:
         assert fast_spec().time_model is None
 
     def test_valid_time_model_accepted(self):
-        spec = fast_spec(num_agents=6).with_updates(
+        spec = fast_spec(num_agents=6, algorithms=["DMSGD"]).with_updates(
             time_model={
                 "traces": {"kind": "synthetic", "seed": 3},
                 "async": True,
@@ -216,14 +234,30 @@ class TestTimeModelField:
     )
     def test_async_knob_conflicts_rejected_at_construction(self, conflict, match):
         with pytest.raises(ValueError, match=match):
-            fast_spec().with_updates(time_model={"async": True}, **conflict)
+            fast_spec(algorithms=["DMSGD"]).with_updates(
+                time_model={"async": True}, **conflict
+            )
         # The same knobs are fine on the synchronous (barrier) time model.
         fast_spec().with_updates(time_model={"async": False}, **conflict)
+
+    @pytest.mark.parametrize("algorithms", [["PDSL"], ["DMSGD", "DP-CGA"], None])
+    def test_async_rejects_algorithms_without_an_async_rule(self, algorithms):
+        # Async mode runs one momentum-SGD local step; a history labelled
+        # PDSL (or the default five-algorithm comparison) would be false.
+        with pytest.raises(ValueError, match="async mode runs a momentum-SGD"):
+            fast_spec(algorithms=algorithms).with_updates(time_model={"async": True})
+        fast_spec(algorithms=algorithms).with_updates(time_model={"async": False})
+
+    def test_async_accepts_the_momentum_sgd_family(self):
+        spec = fast_spec(algorithms=["DMSGD", "DP-DPSGD", "D-PSGD"]).with_updates(
+            time_model={"async": True}
+        )
+        assert spec.time_model == {"async": True}
 
     def test_time_model_survives_serialization(self):
         from repro.experiments.specs import spec_from_dict, spec_to_dict
 
-        spec = fast_spec(num_agents=6).with_updates(
+        spec = fast_spec(num_agents=6, algorithms=["DMSGD"]).with_updates(
             time_model={"traces": {"kind": "synthetic", "seed": 3}, "async": True}
         )
         restored = spec_from_dict(spec_to_dict(spec))

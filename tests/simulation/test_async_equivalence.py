@@ -320,6 +320,38 @@ class TestAsyncMode:
         with pytest.raises(ValueError, match="shift_one"):
             AsyncEngine(matched, async_mode=True)
 
+    @pytest.mark.parametrize("name", ["PDSL", "DP-CGA", "MUFFLIATO", "DP-NET-FLEET"])
+    def test_async_mode_rejects_algorithms_without_an_async_rule(
+        self, make_small_fleet, name
+    ):
+        algorithm, _ = make_small_fleet(name)
+        with pytest.raises(ValueError, match="async mode runs a momentum-SGD"):
+            AsyncEngine(algorithm, async_mode=True)
+        # Barrier mode keeps the algorithm's own synchronous round.
+        AsyncEngine(algorithm, async_mode=False).run_round()
+
+    def test_async_mode_accepts_dp_dpsgd(self, make_small_fleet):
+        algorithm, _ = make_small_fleet("DP-DPSGD")
+        engine = AsyncEngine(algorithm, async_mode=True)
+        engine.run_round()
+        assert np.isfinite(algorithm.state).all()
+
+    @pytest.mark.parametrize("name", ["DP-DPSGD", "D-PSGD"])
+    def test_async_mode_rejects_momentum_for_plain_sgd_rules(
+        self, make_small_fleet, name
+    ):
+        from repro.baselines import DPDPSGD, DPSGDNonPrivate
+
+        base, _ = make_small_fleet("DP-DPSGD", momentum=0.9)
+        cls = DPDPSGD if name == "DP-DPSGD" else DPSGDNonPrivate
+        algorithm = cls(base.model, base.topology, base.shards, base.config)
+        assert algorithm.name == name
+        with pytest.raises(ValueError, match="only at momentum 0"):
+            AsyncEngine(algorithm, async_mode=True)
+        # DMSGD's rule is momentum SGD, so its momentum is honoured.
+        dmsgd, _ = make_small_fleet("DMSGD", momentum=0.9)
+        AsyncEngine(dmsgd, async_mode=True).run_round()
+
 
 class TestEngineWrapperContract:
     """The wrapper must be drivable anywhere a bare algorithm is."""

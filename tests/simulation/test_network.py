@@ -21,27 +21,12 @@ class TestSendReceive:
         net.receive(1, "x")
         assert net.receive(1, "x") == []
 
-    def test_receive_by_sender_keeps_latest(self):
-        net = Network(2)
-        net.send(0, 1, "x", "old")
-        net.send(0, 1, "x", "new")
-        payloads = net.receive_by_sender(1, "x")
-        assert payloads == {0: "new"}
-
     def test_tags_are_independent(self):
         net = Network(2)
         net.send(0, 1, "a", 1)
         net.send(0, 1, "b", 2)
-        assert net.receive_by_sender(1, "a") == {0: 1}
-        assert net.receive_by_sender(1, "b") == {0: 2}
-
-    def test_broadcast_excludes_sender(self):
-        net = Network(4)
-        delivered = net.broadcast(0, [0, 1, 2, 3], "m", 42)
-        assert delivered == 3
-        assert net.pending(0) == 0
-        for agent in (1, 2, 3):
-            assert net.receive_by_sender(agent, "m") == {0: 42}
+        assert [m.payload for m in net.receive(1, "a")] == [1]
+        assert [m.payload for m in net.receive(1, "b")] == [2]
 
     def test_pending_counts(self):
         net = Network(2)
@@ -92,6 +77,24 @@ class TestFaultInjection:
         for i in range(50):
             assert net.send(0, 1, "x", i)
         assert net.messages_dropped == 0
+
+    def test_delivery_mask_is_none_without_loss(self):
+        net = Network(2)
+        assert net.delivery_mask(10) is None
+        assert net.messages_dropped == 0
+
+    def test_delivery_mask_draws_one_flag_per_message(self):
+        net = Network(2, drop_probability=0.3, rng=np.random.default_rng(5))
+        delivered = net.delivery_mask(1000)
+        expected = np.random.default_rng(5).random(1000) >= 0.3
+        np.testing.assert_array_equal(delivered, expected)
+        assert net.messages_dropped == int((~expected).sum())
+        assert 200 < net.messages_dropped < 400
+
+    def test_delivery_mask_full_partition(self):
+        net = Network(2, drop_probability=1.0, rng=np.random.default_rng(0))
+        assert not net.delivery_mask(7).any()
+        assert net.messages_dropped == 7
 
     def test_full_partition_drops_everything(self):
         # The closed upper bound models a fully partitioned link: every

@@ -1,8 +1,8 @@
-"""Network byte accounting: compressed payloads, drops, churn, checkpoints.
+"""Network byte accounting: compressed exchanges, drops, churn, checkpoints.
 
 ``Network`` has always counted messages and floats; with compressed gossip
-it also accounts *wire bytes* — dense payloads at ``8 * floats``, wrapped
-:class:`CompressedPayload` messages at the codec's encoded size.  These
+it also accounts *wire bytes* — dense payloads at ``8 * floats``, bulk
+exchanges at the codec's encoded size.  These
 tests pin every accounting rule: what counts (delivered and dropped sends,
 ``record_bulk``), what does not (rejected sends to departed agents), and
 how the counters survive a checkpoint round trip — including checkpoints
@@ -12,7 +12,6 @@ written before byte accounting existed.
 import numpy as np
 import pytest
 
-from repro.compression.codecs import CompressedPayload
 from repro.simulation.network import Network
 
 
@@ -33,22 +32,6 @@ def test_tuple_and_scalar_payload_sizes():
     net.send(0, 1, "flag", 3.14)  # opaque scalar counts as one value
     assert net.floats_sent == 11
     assert net.bytes_sent == 88
-
-
-def test_compressed_payload_counts_encoded_size():
-    net = Network(3)
-    payload = CompressedPayload(
-        values=np.zeros(36), num_values=3, wire_bytes=36, codec="topk"
-    )
-    assert net.send(0, 1, "model", payload)
-    # Encoded size, not the dense 36 * 8 = 288 bytes of the decoded array.
-    assert net.floats_sent == 3
-    assert net.bytes_sent == 36
-    assert net.bytes_by_tag == {"model": 36}
-    # The receiver still gets the wrapper with the full decoded values.
-    received = net.receive_by_sender(1, "model")
-    assert received[0] is payload
-    assert received[0].values.size == 36
 
 
 def test_record_bulk_defaults_to_dense_bytes():
@@ -114,14 +97,8 @@ def test_traffic_summary_includes_byte_counters():
 def test_state_dict_roundtrip_preserves_byte_counters():
     net = Network(3)
     net.send(0, 1, "model", np.ones(4))
-    net.send(
-        0,
-        2,
-        "mix",
-        CompressedPayload(values=np.zeros(8), num_values=2, wire_bytes=24, codec="topk"),
-    )
+    net.record_bulk("mix", num_messages=2, floats_per_message=2, bytes_per_message=24)
     net.receive(1, "model")
-    net.receive(2, "mix")
     state = net.state_dict()
 
     restored = Network(3)
